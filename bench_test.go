@@ -254,11 +254,15 @@ const scanSteps = 21
 // once per iteration. The per-point jitter makes every axis bias value a
 // first touch for the exact table (axis entries are keyed by bias, so a
 // plain grid would reuse each value 21×), so the exact number measures
-// compute-and-memoize cost rather than a warm rerun — the honest
-// baseline for the LUT, which answers every point by in-grid
-// interpolation regardless of whether it was seen before.
+// first-touch compute-and-memoize cost rather than a warm rerun. The
+// response tables and their counters are process-global, so each call
+// starts from empty tables: otherwise a round would hit entries an
+// earlier round or benchmark memoized, and the number would depend on
+// what ran before it in the same process.
 func benchBiasPlaneScan(b *testing.B) {
 	b.Helper()
+	metasurface.ResetResponseTables()
+	metasurface.ResetGlobalCacheStats()
 	surf := NewSurface(OptimizedFR4(DefaultCarrierHz))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -267,7 +271,7 @@ func benchBiasPlaneScan(b *testing.B) {
 		for x := 0; x < scanSteps; x++ {
 			for y := 0; y < scanSteps; y++ {
 				// Unique per point for the first ~2268 iterations (CI runs
-				// 100), bounded ≤1 V so the scan stays inside the LUT grid.
+				// 100); the jitter stays below 1 V.
 				p := (i*scanSteps+x)*scanSteps + y
 				off := float64(p%1_000_000) * 1e-6
 				surf.SetBias(float64(x)*1.4+off, float64(y)*1.4+off)
@@ -280,21 +284,11 @@ func benchBiasPlaneScan(b *testing.B) {
 	}
 }
 
-// BenchmarkBiasPlaneScanExact / ...LUT / ...Uncached are the A/B/C the
-// CI bench job gates on: the LUT path must be ≥2× faster than exact and
-// allocation-free on in-grid lookups (the grid is built untimed).
+// BenchmarkBiasPlaneScanExact and BenchmarkBiasPlaneScanUncached are
+// the A/B of the exact response path on a cold bias plane: memoized
+// through the shared response table versus evaluated from scratch at
+// every point.
 func BenchmarkBiasPlaneScanExact(b *testing.B) { benchBiasPlaneScan(b) }
-
-func BenchmarkBiasPlaneScanLUT(b *testing.B) {
-	SetLUT(true)
-	defer SetLUT(false)
-	// Build the design's grid (and the shared QWP entry) outside the
-	// timed region; every timed lookup is then pure interpolation.
-	warm := NewSurface(OptimizedFR4(DefaultCarrierHz))
-	warm.SetBias(8, 8)
-	warm.JonesTransmissive(DefaultCarrierHz)
-	benchBiasPlaneScan(b)
-}
 
 func BenchmarkBiasPlaneScanUncached(b *testing.B) {
 	SetCaching(false)

@@ -3,12 +3,16 @@ package experiments
 // Engine-level contracts of the design-keyed response tables: sharing
 // across surfaces and persistence across processes must be invisible in
 // the output bytes (determinism invariant 10), fig15's per-distance
-// surfaces must actually reuse one table, LUT-mode cells must never be
-// resumed as exact, and the load/save glue must survive corrupt records.
+// surfaces must actually reuse one table, cells an older binary stored
+// in its approximate LUT mode must never be resumed as exact, and the
+// load/save glue must survive corrupt records.
 // Run under -race in CI.
 
 import (
 	"context"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -134,10 +138,12 @@ func TestFig15CrossSurfaceReuse(t *testing.T) {
 	}
 }
 
-// TestLUTRunTaintsStoredCells: cells persisted by an approximate-mode run
-// are marked, refused by resume (with a warning naming the mode), and
-// recomputed to the exact bytes — after which the clean record resumes
-// normally.
+// TestLUTRunTaintsStoredCells: a cell that an older binary persisted in
+// its approximate LUT mode (Meta.LUT set) is refused by resume with a
+// warning naming the mode, recomputed to the exact bytes, and rewritten
+// as a clean record that the next resume reuses. The same store also
+// carries a leftover grids/<fp>.json from such a binary, which Open,
+// Resume and GC must all tolerate.
 func TestLUTRunTaintsStoredCells(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -148,43 +154,39 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	metasurface.ResetResponseTables()
-	rep, err := Execute(ctx, Options{IDs: []string{"fig16"}, Concurrency: 1, StoreDir: dir, LUT: true})
-	// Execute's LUT switch has flag semantics (stays on); restore exact
-	// mode immediately so a failure below cannot poison other tests.
-	metasurface.SetLUT(false)
-	if err != nil {
-		t.Fatal(err)
+	// Plant the approximate cell: the exact table nudged by one ulp per
+	// value, so reusing it would be visible in the output bytes.
+	approx := *exact.Results[0]
+	approx.Rows = make([][]float64, len(exact.Results[0].Rows))
+	for i, row := range exact.Results[0].Rows {
+		approx.Rows[i] = make([]float64, len(row))
+		for j, v := range row {
+			approx.Rows[i][j] = math.Nextafter(v, math.Inf(1))
+		}
 	}
-	if rep.LUTInterpolated == 0 {
-		t.Fatal("LUT run interpolated nothing; fig16's scan should sit inside the default grid")
-	}
-	if tm := rep.Timings[0]; tm.LUTInterpolated != rep.LUTInterpolated || tm.LUTFallbacks != rep.LUTFallbacks {
-		t.Errorf("single-worker LUT attribution %d/%d != run totals %d/%d",
-			tm.LUTInterpolated, tm.LUTFallbacks, rep.LUTInterpolated, rep.LUTFallbacks)
-	}
-	var sb strings.Builder
-	if err := rep.Render(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "APPROXIMATE") {
-		t.Errorf("render does not flag the approximate mode:\n%s", sb.String())
-	}
-
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := st.Get("fig16", 1)
-	if err != nil {
+	if err := st.Put(storeRecord(&approx, 1, store.Meta{Concurrency: 1, LUT: true})); err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Meta.LUT {
-		t.Fatal("cell persisted by a LUT run is not marked approximate; resume would serve wrong bytes as exact")
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	gridDir := filepath.Join(dir, "grids")
+	if err := os.MkdirAll(gridDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fp := metasurface.DesignFingerprint(metasurface.OptimizedFR4Design(units.DefaultCarrierHz))
+	leftover := filepath.Join(gridDir, fp+".json")
+	grid := []byte(`{"schema":1,"fingerprint":"` + fp + `","meta":["121","33","0.5","0","0.25","2e9","2.5e7"],"samples":[]}` + "\n")
+	if err := os.WriteFile(leftover, grid, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	// Resume in exact mode: the tainted record must be recomputed, not
-	// reused, and the recomputed bytes equal the exact reference.
+	// Resume: the tainted record must be recomputed, not reused, and the
+	// recomputed bytes equal the exact reference.
 	metasurface.ResetResponseTables()
 	res, err := Execute(ctx, Options{IDs: []string{"fig16"}, Concurrency: 1, StoreDir: dir, Resume: true})
 	if err != nil {
@@ -219,8 +221,22 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.ReusedCells != 1 {
-		t.Errorf("clean record not reused on the second resume: %+v reused", again.ReusedCells)
+	if again.ReusedCells != 1 || !sameResult(again.Results[0], exact.Results[0]) {
+		t.Errorf("clean record not reused bit-identically on the second resume: %d reused", again.ReusedCells)
+	}
+
+	// GC sweeps cells only: with no run record referencing it, the cell
+	// is collected, and the leftover grid file is neither an error nor
+	// touched.
+	gc, err := st2.GC(store.GCPolicy{})
+	if err != nil {
+		t.Fatalf("GC over a store with a leftover grid: %v", err)
+	}
+	if gc.Removed != 1 {
+		t.Errorf("GC removed %d cells, want 1", gc.Removed)
+	}
+	if got, err := os.ReadFile(leftover); err != nil || string(got) != string(grid) {
+		t.Errorf("leftover grid file changed or vanished: err=%v", err)
 	}
 }
 

@@ -461,9 +461,7 @@ func (m *snapMap[K, V]) snapshot() map[K]V {
 // responseTable memoizes the per-axis and per-frequency QWP evaluations
 // of one design, shared by every Surface of that design. Both entry
 // kinds live in snapMaps, so lookups are lock-free snapshot reads and
-// concurrent misses on one key evaluate once (see the snapMap doc). The
-// lut pointer holds the design's precomputed interpolation grid when
-// approximate mode is active (lut.go).
+// concurrent misses on one key evaluate once (see the snapMap doc).
 type responseTable struct {
 	fingerprint string
 
@@ -471,8 +469,6 @@ type responseTable struct {
 	qwp  *snapMap[uint64, qwpResponse]
 
 	counters shardedStats
-
-	lut atomic.Pointer[lutGrid]
 }
 
 // newResponseTable returns an empty table for one design fingerprint.

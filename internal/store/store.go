@@ -73,10 +73,11 @@ type Meta struct {
 	// ElapsedNs is the compute time the cell cost when it was computed.
 	ElapsedNs int64 `json:"elapsed_ns"`
 	// LUT marks a cell computed in the approximate interpolated-lookup
-	// mode. Such cells are not bit-identical to exact computation, so
-	// resume runs never reuse them (they are recomputed instead) — the
-	// store must never silently launder approximate rows into an exact
-	// run.
+	// mode, written only by older binaries that still had that mode
+	// (current ones never set it). Such cells are not bit-identical to
+	// exact computation, so resume runs never reuse them (they are
+	// recomputed instead) — the store must never silently launder
+	// approximate rows into an exact run.
 	LUT bool `json:"lut,omitempty"`
 }
 
