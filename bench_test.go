@@ -64,9 +64,9 @@ func BenchmarkExtMultilink(b *testing.B)  { benchExperiment(b, "ext-multilink") 
 func BenchmarkExtThroughput(b *testing.B) { benchExperiment(b, "ext-throughput") }
 func BenchmarkExtSchedule(b *testing.B)   { benchExperiment(b, "ext-schedule") }
 
-// Whole-suite benchmarks: the serial reference path vs the concurrent
-// Engine at several pool widths, so the fan-out speedup (and any
-// coordination overhead on small machines) is measurable.
+// Whole-suite benchmarks: the serial reference path vs Execute at
+// several pool widths, so the fan-out speedup (and any coordination
+// overhead on small machines) is measurable.
 
 func BenchmarkRunAllSerial(b *testing.B) {
 	ctx := context.Background()
@@ -82,20 +82,31 @@ func BenchmarkRunAllSerial(b *testing.B) {
 	}
 }
 
-func benchRunAllParallel(b *testing.B, workers int) {
+// benchExecute times Execute under opts with a fresh seed per iteration
+// and checks that every selected experiment produced its table.
+func benchExecute(b *testing.B, opts experiments.Options) {
 	b.Helper()
 	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: workers}
+	want := len(opts.IDs)
+	if want == 0 {
+		want = len(experiments.IDs())
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.RunAll(ctx, int64(i+1))
+		opts.Seeds = []int64{int64(i + 1)}
+		rep, err := experiments.Execute(ctx, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res) == 0 {
-			b.Fatal("no results")
+		if len(rep.Results) != want {
+			b.Fatalf("got %d results, want %d", len(rep.Results), want)
 		}
 	}
+}
+
+func benchRunAllParallel(b *testing.B, workers int) {
+	benchExecute(b, experiments.Options{Concurrency: workers})
 }
 
 func BenchmarkRunAllParallel2(b *testing.B)        { benchRunAllParallel(b, 2) }
@@ -108,19 +119,7 @@ func BenchmarkRunAllParallelMaxProcs(b *testing.B) { benchRunAllParallel(b, 0) }
 // (and costs, on small machines).
 
 func benchRunAllSharded(b *testing.B, workers int) {
-	b.Helper()
-	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: workers, ShardRows: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.RunAll(ctx, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) == 0 {
-			b.Fatal("no results")
-		}
-	}
+	benchExecute(b, experiments.Options{Concurrency: workers, ShardRows: true})
 }
 
 func BenchmarkRunAllSharded2(b *testing.B)        { benchRunAllSharded(b, 2) }
@@ -128,26 +127,13 @@ func BenchmarkRunAllSharded8(b *testing.B)        { benchRunAllSharded(b, 8) }
 func BenchmarkRunAllShardedMaxProcs(b *testing.B) { benchRunAllSharded(b, 0) }
 
 // Single-experiment serial-vs-sharded benchmarks: the case the sharding
-// exists for. A lone long sweep (fig15's seven full bias-plane scans)
-// bounds wall-clock for the whole-experiment engine no matter how many
-// workers it has; sharding its rows is the only way -parallel helps a
-// single -run.
+// exists for. A lone long sweep (fig15's seven full bias-plane scans) is
+// one whole-axis job that bounds wall-clock no matter how many workers
+// there are; sharding its rows is the only way -parallel helps a single
+// -run.
 
 func benchSingleExperiment(b *testing.B, id string, workers int, shard bool) {
-	b.Helper()
-	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: workers, IDs: []string{id}, ShardRows: shard}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := eng.RunAll(ctx, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res) != 1 {
-			b.Fatalf("got %d results", len(res))
-		}
-	}
+	benchExecute(b, experiments.Options{Concurrency: workers, IDs: []string{id}, ShardRows: shard})
 }
 
 func BenchmarkFig15Serial(b *testing.B)   { benchSingleExperiment(b, "fig15", 1, false) }
@@ -172,14 +158,14 @@ func BenchmarkExt900MHzSharded8(b *testing.B) { benchSingleExperiment(b, "ext-90
 // paper-style error-bar tables use.
 func BenchmarkReplicate5Seeds(b *testing.B) {
 	ctx := context.Background()
-	eng := &experiments.Engine{Concurrency: 0, IDs: []string{"fig16", "tab1", "fig22"}}
+	opts := experiments.Options{IDs: []string{"fig16", "tab1", "fig22"}, Seeds: []int64{1, 2, 3, 4, 5}}
 	for i := 0; i < b.N; i++ {
-		agg, err := eng.Replicate(ctx, []int64{1, 2, 3, 4, 5})
+		rep, err := experiments.Execute(ctx, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(agg) != 3 {
-			b.Fatalf("replicated %d experiments", len(agg))
+		if len(rep.Replicated) != 3 {
+			b.Fatalf("replicated %d experiments", len(rep.Replicated))
 		}
 	}
 }

@@ -58,6 +58,15 @@ import (
 	"github.com/llama-surface/llama/internal/store"
 )
 
+// Listener timeouts. A client that never finishes its request headers,
+// or parks an idle keep-alive connection, is cut off instead of holding
+// a connection forever. There is deliberately no WriteTimeout: GET
+// /runs/{id}/events is a long-lived SSE stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "HTTP listen address")
@@ -108,7 +117,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: svc}
+	httpSrv := &http.Server{Handler: svc, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	log.Printf("llama-serve: listening on %s (store %s)", ln.Addr(), *storeDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -6,7 +6,9 @@
 // workers to make a run's wall-clock shrink; kill them freely — a
 // worker that dies mid-job simply misses its heartbeat deadline and
 // the coordinator reassigns the job, with served bytes identical
-// either way (determinism invariant 9).
+// either way (determinism invariant 9). A worker must run the same build
+// as its coordinator: a job names a point range of a sweep in the
+// shared experiment registry.
 //
 // Usage:
 //
@@ -45,7 +47,7 @@ func main() {
 	var (
 		coordinator = flag.String("coordinator", "", "base URL of the llama-serve -fleet instance to join (required)")
 		name        = flag.String("name", "", "worker name shown in coordinator logs (default worker-<pid>)")
-		storeDir    = flag.String("store", "", "optional shared results store: whole-experiment cells are persisted directly as well as reported back")
+		storeDir    = flag.String("store", "", "optional shared results store: cells of whole-axis jobs are persisted directly as well as reported back")
 		poll        = flag.Duration("poll", 200*time.Millisecond, "idle backoff between lease attempts when the coordinator has no work")
 	)
 	flag.Parse()

@@ -15,50 +15,6 @@ import (
 	"github.com/llama-surface/llama/internal/store"
 )
 
-// Engine executes registered experiments concurrently across a bounded
-// worker pool. Experiments are pure functions of their seed, so the only
-// determinism hazards are scheduling and aggregation order; the Engine
-// assigns every (experiment, seed) cell a fixed slot before any worker
-// starts and aggregates in slot order, which makes its output bit-identical
-// to the serial RunAll path for any worker count.
-//
-// With ShardRows set, experiments declared as Sweeps are split further:
-// every sweep point becomes its own job, interleaved with whole-experiment
-// jobs in the same queue, so a single long experiment saturates the pool
-// instead of bounding wall-clock. Point outputs are collected into
-// per-point slots and reassembled in axis order, so sharded output is
-// still bit-identical to the serial path.
-type Engine struct {
-	// Concurrency bounds the worker pool. Zero or negative means
-	// runtime.GOMAXPROCS(0).
-	Concurrency int
-	// IDs restricts the run to a subset of the registry; nil or empty
-	// means every registered experiment, and duplicates count once.
-	// Output is always produced in sorted-ID order regardless of the
-	// order given here, matching the serial RunAll path.
-	IDs []string
-	// ShardRows splits sweep-shaped experiments into per-point row jobs.
-	// Experiments registered as plain Runners still run whole.
-	ShardRows bool
-	// BatchRows groups that many consecutive sweep points into one queued
-	// job (with ShardRows), amortizing per-job queue overhead on axes
-	// with many cheap points. ≤1 means one point per job. Collection
-	// stays slot-indexed per point, so output is unchanged.
-	BatchRows int
-	// Store, when non-nil, persists every freshly computed (experiment,
-	// seed) cell after the run — including completed cells of a run that
-	// failed elsewhere, so partial progress survives restarts.
-	Store *store.Store
-	// Resume makes the run consult Store before queueing each cell: a
-	// cell with a valid stored record is reused instead of recomputed,
-	// and the union of stored + fresh per-seed tables folds into the
-	// same Results/Replicated output a fresh run would produce,
-	// bit-identically (determinism invariant 6). Cells whose records are
-	// missing, corrupt, schema-mismatched or shaped unlike the current
-	// sweep are recomputed (and re-persisted), never fatal.
-	Resume bool
-}
-
 // Timing records one experiment's cost, summed across seeds when the run
 // is replicated.
 type Timing struct {
@@ -74,7 +30,8 @@ type Timing struct {
 	// Rows is the assembled table's row count (per seed).
 	Rows int
 	// Points is the number of jobs the experiment contributed per seed:
-	// 1 for a whole-experiment job, the axis length for a sharded sweep.
+	// 1 for an unsharded run (one job spans the axis), ⌈axis/BatchRows⌉
+	// for a sharded one.
 	Points int
 	// CacheHits and CacheMisses are the metasurface response-cache
 	// lookups attributed to this experiment's jobs. The counters are
@@ -88,7 +45,7 @@ type Timing struct {
 	CacheHits, CacheMisses uint64
 }
 
-// Report summarises an Engine run: the per-seed results in ID order,
+// Report summarises a run: the per-seed results in ID order,
 // per-experiment wall time, and the total wall time of the fan-out.
 type Report struct {
 	// Seeds are the seeds run, in the order given.
@@ -255,7 +212,7 @@ func (r *ReplicatedResult) Render(w io.Writer) error {
 	return err
 }
 
-// Options configures a full engine run (the shape llama.RunExperiments
+// Options configures a one-shot run (the shape llama.RunExperiments
 // takes).
 type Options struct {
 	// IDs restricts the run; nil means every registered experiment.
@@ -264,12 +221,14 @@ type Options struct {
 	Seeds []int64
 	// Concurrency bounds the worker pool; ≤0 means GOMAXPROCS.
 	Concurrency int
-	// ShardRows splits each sweep-shaped experiment's rows across the
-	// pool, so even a single experiment saturates the workers. Output is
-	// bit-identical either way.
+	// ShardRows splits each experiment's sweep axis into jobs spread
+	// across the pool, so even a single experiment saturates the workers;
+	// unset, one job spans each (experiment, seed) cell's whole axis.
+	// Output is bit-identical either way.
 	ShardRows bool
 	// BatchRows groups that many consecutive sweep points per sharded
-	// job (≤1 = one point per job); see Engine.BatchRows.
+	// job (≤1 = one point per job), amortizing per-job queue overhead on
+	// axes with many cheap points. Output is unchanged.
 	BatchRows int
 	// StoreDir, when non-empty, opens (creating if needed) a durable
 	// results store there and persists every freshly computed
@@ -282,24 +241,20 @@ type Options struct {
 	Resume bool
 }
 
-// Execute runs opts through an Engine and returns the combined report.
+// Execute lays opts out as one submission and runs it on a private
+// scheduler sized min(Concurrency, jobs), returning the combined report.
 // On failure the report carries whatever completed, and the error names
-// the experiment, seed and (for sharded sweeps) point that failed.
+// the experiment, seed and point that failed.
 func Execute(ctx context.Context, opts Options) (*Report, error) {
-	e := &Engine{Concurrency: opts.Concurrency, IDs: opts.IDs, ShardRows: opts.ShardRows, BatchRows: opts.BatchRows, Resume: opts.Resume}
 	if opts.Resume && opts.StoreDir == "" {
 		return nil, errors.New("experiments: Resume requires StoreDir")
 	}
+	var st *store.Store
 	if opts.StoreDir != "" {
-		st, err := store.Open(opts.StoreDir)
-		if err != nil {
+		var err error
+		if st, err = store.Open(opts.StoreDir); err != nil {
 			return nil, fmt.Errorf("experiments: %w", err)
 		}
-		e.Store = st
-	}
-	seeds := opts.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
 	}
 	// Warm-start: import every persisted response table before any
 	// compute, so a fresh process answers previously computed physics
@@ -307,63 +262,31 @@ func Execute(ctx context.Context, opts Options) (*Report, error) {
 	// run. Both directions are pure acceleration — their warnings ride
 	// in StoreWarnings, never fail the run.
 	var loadWarns []string
-	if e.Store != nil {
-		_, _, loadWarns = LoadResponseTables(e.Store)
+	if st != nil {
+		_, _, loadWarns = LoadResponseTables(st)
 	}
-	rep, err := e.run(ctx, seeds)
-	if rep != nil {
-		var saveWarns []string
-		if e.Store != nil {
-			_, _, saveWarns = SaveResponseTables(e.Store)
-		}
-		rep.StoreWarnings = append(append(loadWarns, rep.StoreWarnings...), saveWarns...)
-	}
-	return rep, err
-}
-
-// RunAll fans every selected experiment out across the pool and returns
-// the results in ID order — deep-equal to the serial RunAll for the same
-// seed, for any Concurrency ≥ 1.
-func (e *Engine) RunAll(ctx context.Context, seed int64) ([]*Result, error) {
-	rep, err := e.run(ctx, []int64{seed})
+	spec := RunSpec{IDs: opts.IDs, Seeds: opts.Seeds, ShardRows: opts.ShardRows, BatchRows: opts.BatchRows, Resume: opts.Resume}
+	sub, err := newSubmission(ctx, spec, st)
 	if err != nil {
 		return nil, err
 	}
-	return rep.Results, nil
-}
-
-// Collect is RunAll plus per-experiment timing and the run summary.
-func (e *Engine) Collect(ctx context.Context, seed int64) (*Report, error) {
-	return e.run(ctx, []int64{seed})
-}
-
-// Replicate runs every selected experiment across all seeds and
-// aggregates per-cell mean/stddev. Aggregation iterates seeds in the
-// given order, so the statistics are bit-identical for any worker count.
-// A single seed is valid: the aggregate is that run with zero spread.
-func (e *Engine) Replicate(ctx context.Context, seeds []int64) ([]*ReplicatedResult, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("experiments: Replicate needs at least one seed")
+	workers := opts.Concurrency
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	rep, err := e.run(ctx, seeds)
-	if err != nil {
+	s := NewScheduler(SchedulerConfig{Workers: max(1, min(workers, len(sub.queue))), Store: st})
+	defer s.Close()
+	if err := s.launch(sub, laneNormal); err != nil {
 		return nil, err
 	}
-	if len(seeds) == 1 {
-		// run only aggregates for multi-seed reports (Report.Replicated
-		// stays nil for single-seed runs); fold the degenerate case here
-		// so this method never returns (nil, nil) after a full run.
-		out := make([]*ReplicatedResult, len(rep.Results))
-		for i, r := range rep.Results {
-			agg, err := replicate(r.ID, seeds, []*Result{r}, rep.Timings[i].Elapsed)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = agg
-		}
-		return out, nil
+	<-sub.done
+	rep := sub.report
+	var saveWarns []string
+	if st != nil {
+		_, _, saveWarns = SaveResponseTables(st)
 	}
-	return rep.Replicated, nil
+	rep.StoreWarnings = append(append(loadWarns, rep.StoreWarnings...), saveWarns...)
+	return rep, sub.err
 }
 
 // resolveIDs resolves an ID selection into the sorted, deduplicated
@@ -379,32 +302,17 @@ func resolveIDs(sel []string) ([]string, error) {
 	sort.Strings(ids)
 	ids = slices.Compact(ids)
 	for _, id := range ids {
-		if _, ok := registry[id]; !ok {
+		if _, ok := sweeps[id]; !ok {
 			return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 		}
 	}
 	return ids, nil
 }
 
-// workers resolves the pool size for n jobs.
-func (e *Engine) workers(n int) int {
-	w := e.Concurrency
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// cellRun is the per-(experiment, seed) collection state of one engine
-// run. Workers write only into their job's own slot (points[p],
-// elapsed[p], errs[p]), so the cell needs no locking; everything else is
-// touched single-threaded during assembly.
+// cellRun is the per-(experiment, seed) collection state of one run.
+// Workers write only into their job's own per-point slots, so the cell
+// needs no locking; everything else is touched single-threaded during
+// assembly.
 type cellRun struct {
 	id   string
 	seed int64
@@ -412,18 +320,12 @@ type cellRun struct {
 	// run: res was decoded from its record, no jobs were queued, and it
 	// is skipped by assembly and re-persistence.
 	loaded bool
-	// sweep is non-nil when the cell runs as per-point row jobs.
+	// sweep is the cell's experiment.
 	sweep *Sweep
-	// Per-job slots: one entry for a whole-experiment cell, Points
-	// entries for a sharded sweep.
-	points  []PointResult
-	done    []bool
-	errs    []error
-	started []time.Time
-	elapsed []time.Duration
-	// Per-slot response-cache lookup deltas, recorded only on
-	// single-worker runs (see Timing.CacheHits).
-	cacheHits, cacheMisses []uint64
+	// njobs counts the jobs the cell queued.
+	njobs int
+	// slots holds one entry per sweep point.
+	slots []pointSlot
 	// res is the assembled table (nil when the cell failed or was
 	// cancelled); partial is the salvaged prefix of a failed sweep.
 	res     *Result
@@ -431,23 +333,33 @@ type cellRun struct {
 	err     error
 }
 
-// jobs returns the number of job slots the cell contributes to the queue.
-func (c *cellRun) jobs() int { return len(c.points) }
+// pointSlot is the collection state of one sweep point, written only
+// by the job covering the point.
+type pointSlot struct {
+	pt      PointResult
+	done    bool
+	err     error
+	started time.Time
+	elapsed time.Duration
+	// hits and misses are the point's response-cache lookups, recorded
+	// only on single-worker runs (see Timing.CacheHits).
+	hits, misses uint64
+}
 
-// busy sums the compute time of the cell's executed jobs.
+// busy sums the compute time of the cell's executed points.
 func (c *cellRun) busy() time.Duration {
 	var total time.Duration
-	for _, d := range c.elapsed {
-		total += d
+	for _, sl := range c.slots {
+		total += sl.elapsed
 	}
 	return total
 }
 
-// cacheDelta sums the cell's per-slot response-cache lookups.
+// cacheDelta sums the cell's per-point response-cache lookups.
 func (c *cellRun) cacheDelta() (hits, misses uint64) {
-	for p := range c.cacheHits {
-		hits += c.cacheHits[p]
-		misses += c.cacheMisses[p]
+	for _, sl := range c.slots {
+		hits += sl.hits
+		misses += sl.misses
 	}
 	return hits, misses
 }
@@ -456,13 +368,13 @@ func (c *cellRun) cacheDelta() (hits, misses uint64) {
 // to last job end. Zero when nothing ran.
 func (c *cellRun) span() time.Duration {
 	var first, last time.Time
-	for p := range c.started {
-		if c.started[p].IsZero() {
+	for _, sl := range c.slots {
+		if sl.started.IsZero() {
 			continue
 		}
-		end := c.started[p].Add(c.elapsed[p])
-		if first.IsZero() || c.started[p].Before(first) {
-			first = c.started[p]
+		end := sl.started.Add(sl.elapsed)
+		if first.IsZero() || sl.started.Before(first) {
+			first = sl.started
 		}
 		if end.After(last) {
 			last = end
@@ -474,14 +386,12 @@ func (c *cellRun) span() time.Duration {
 	return last.Sub(first)
 }
 
-// assemble folds the cell's job slots into its final table. For sweep
-// cells it reassembles points in axis order — bit-identical to the serial
-// path — and on a point failure salvages the contiguous completed prefix
-// and names the failing point. Runs single-threaded after the pool
-// drains.
+// assemble folds the cell's point slots into its final table in axis
+// order — bit-identical to the serial path — and on a point failure
+// salvages the contiguous completed prefix and names the failing point.
+// Runs single-threaded after the pool drains.
 func (c *cellRun) assemble() {
-	if c.sweep == nil {
-		// Whole-experiment cell: the worker already stored res/err.
+	if c.loaded {
 		return
 	}
 	s := c.sweep
@@ -491,71 +401,40 @@ func (c *cellRun) assemble() {
 	// were in flight, and those must not mask the point that actually
 	// broke; a cancellation error is reported only when no real one
 	// exists.
-	prefix := s.Points
-	for p := 0; p < s.Points; p++ {
-		if !c.done[p] {
-			prefix = p
+	pts := make([]PointResult, 0, s.Points)
+	for _, sl := range c.slots {
+		if !sl.done {
 			break
 		}
+		pts = append(pts, sl.pt)
 	}
 	fail := -1
-	for p := 0; p < s.Points; p++ {
-		if c.errs[p] == nil {
+	for p, sl := range c.slots {
+		if sl.err == nil {
 			continue
 		}
 		if fail == -1 {
 			fail = p
 		}
-		if !errors.Is(c.errs[p], context.Canceled) {
+		if !errors.Is(sl.err, context.Canceled) {
 			fail = p
 			break
 		}
 	}
 	if fail >= 0 {
 		c.err = fmt.Errorf("experiments: %s (seed %d): %w",
-			c.id, c.seed, &PointError{Point: fail, Points: s.Points, Err: c.errs[fail]})
+			c.id, c.seed, &PointError{Point: fail, Points: s.Points, Err: c.slots[fail].err})
 	}
-	res := s.newResult()
-	for p := 0; p < prefix; p++ {
-		s.appendPoint(res, c.points[p])
-	}
-	if prefix < s.Points {
-		// Incomplete: keep the prefix as salvage, but never run Finish on
-		// a truncated table — its summary would describe rows that do not
-		// exist.
+	res, err := s.assemble(c.seed, pts)
+	switch {
+	case len(pts) < s.Points:
 		c.partial = res
-		return
-	}
-	if err := s.finish(res, c.seed); err != nil {
+	case err != nil:
 		c.err = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
 		c.partial = res
-		return
+	default:
+		c.res = res
 	}
-	c.res = res
-}
-
-// run executes one one-shot engine run through the scheduler core: lay
-// the submission out, start a private scheduler sized exactly like the
-// old in-place pool (min of Concurrency and job count), and wait. The
-// heavy lifting — layout, the worker pool, slot-ordered assembly,
-// persistence and deterministic aggregation — lives in sched.go, shared
-// with the long-lived Submit path, so both produce identical bytes.
-func (e *Engine) run(ctx context.Context, seeds []int64) (*Report, error) {
-	if e.Resume && e.Store == nil {
-		return nil, errors.New("experiments: Engine.Resume requires Engine.Store (set Options.StoreDir)")
-	}
-	spec := RunSpec{IDs: e.IDs, Seeds: seeds, ShardRows: e.ShardRows, BatchRows: e.BatchRows, Resume: e.Resume}
-	sub, err := newSubmission(ctx, spec, e.Store)
-	if err != nil {
-		return nil, err
-	}
-	s := NewScheduler(SchedulerConfig{Workers: e.workers(len(sub.queue)), Store: e.Store})
-	defer s.Close()
-	if err := s.launch(sub, laneNormal); err != nil {
-		return nil, err
-	}
-	<-sub.done
-	return sub.report, sub.err
 }
 
 // replicate folds one experiment's per-seed tables into mean/stddev.

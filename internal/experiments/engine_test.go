@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -49,11 +50,11 @@ func TestEngineMatchesSerial(t *testing.T) {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
 		for _, workers := range []int{1, 8} {
-			eng := &Engine{Concurrency: workers}
-			got, err := eng.RunAll(ctx, seed)
+			rep, err := Execute(ctx, Options{Concurrency: workers, Seeds: []int64{seed}})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}
+			got := rep.Results
 			if len(got) != len(serial) {
 				t.Fatalf("seed %d workers %d: %d results, serial %d", seed, workers, len(got), len(serial))
 			}
@@ -71,20 +72,19 @@ func TestEngineMatchesSerial(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	eng := &Engine{Concurrency: 4}
 	go func() {
 		time.Sleep(5 * time.Millisecond) // a few experiments deep
 		cancel()
 	}()
 	start := time.Now()
-	_, err := eng.RunAll(ctx, 1)
+	_, err := Execute(ctx, Options{Concurrency: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("cancelled RunAll took %v, want prompt return", d)
+		t.Fatalf("cancelled Execute took %v, want prompt return", d)
 	}
-	// Workers drain synchronously before RunAll returns, so the goroutine
+	// Workers drain synchronously before Execute returns, so the goroutine
 	// count must settle back to (roughly) the pre-call level; poll a
 	// little to absorb unrelated runtime goroutines winding down.
 	deadline := time.Now().Add(2 * time.Second)
@@ -104,8 +104,7 @@ func TestEngineCancellation(t *testing.T) {
 func TestEngineCancelledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := &Engine{Concurrency: 2}
-	rep, err := eng.Collect(ctx, 1)
+	rep, err := Execute(ctx, Options{Concurrency: 2})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -116,33 +115,31 @@ func TestEngineCancelledBeforeStart(t *testing.T) {
 
 // TestCollectSalvagesCompletedOnCancel: cancellation mid-run must not
 // throw away tables that already finished — the report carries them
-// alongside ctx.Err(). Uses temporary registry entries so the ordering
-// is deterministic: the fast experiment signals completion, then the
-// test cancels while the slow one is still blocked.
+// alongside ctx.Err(). Uses temporary sweeps so the ordering is
+// deterministic: the fast experiment signals completion, then the test
+// cancels while the slow one is still blocked.
 func TestCollectSalvagesCompletedOnCancel(t *testing.T) {
 	done := make(chan struct{})
-	registry["zz-fast"] = func(ctx context.Context, seed int64) (*Result, error) {
-		r := &Result{ID: "zz-fast", Title: "salvage probe", Columns: []string{"seed"}}
-		r.AddRow(float64(seed))
-		close(done)
-		return r, nil
+	fast := countingSweep("zz-fast", 1)
+	inner := fast.Point
+	fast.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
+		defer close(done)
+		return inner(ctx, seed, i)
 	}
-	registry["zz-slow"] = func(ctx context.Context, seed int64) (*Result, error) {
+	tempSweep(t, fast)
+	slow := countingSweep("zz-slow", 1)
+	slow.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return PointResult{}, ctx.Err()
 	}
-	defer func() {
-		delete(registry, "zz-fast")
-		delete(registry, "zz-slow")
-	}()
+	tempSweep(t, slow)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
 		<-done
 		cancel()
 	}()
-	eng := &Engine{Concurrency: 2, IDs: []string{"zz-fast", "zz-slow"}}
-	rep, err := eng.Collect(ctx, 1)
+	rep, err := Execute(ctx, Options{Concurrency: 2, IDs: []string{"zz-fast", "zz-slow"}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -151,10 +148,51 @@ func TestCollectSalvagesCompletedOnCancel(t *testing.T) {
 	}
 }
 
+// TestCancelWholeAxisJob: an unsharded cell is one job spanning its
+// whole axis, and cancelling it mid-axis must be as prompt as cancelling
+// a point — Execute returns within the cancellation bound, the points
+// after the cancel never run, and the completed prefix is salvaged.
+func TestCancelWholeAxisJob(t *testing.T) {
+	const points, cancelAt = 50, 3
+	var ran atomic.Int32
+	reached := make(chan struct{})
+	s := countingSweep("zz-slowaxis", points)
+	inner := s.Point
+	s.Point = func(ctx context.Context, seed int64, i int) (PointResult, error) {
+		ran.Add(1)
+		if i == cancelAt {
+			close(reached)
+			<-ctx.Done() // the cancel lands while this point is in flight
+		}
+		time.Sleep(10 * time.Millisecond)
+		return inner(ctx, seed, i)
+	}
+	tempSweep(t, s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		<-reached
+		cancel()
+	}()
+	start := time.Now()
+	rep, err := Execute(ctx, Options{Concurrency: 1, IDs: []string{"zz-slowaxis"}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled whole-axis job took %v, want prompt return", d)
+	}
+	if n := ran.Load(); n != cancelAt+1 {
+		t.Errorf("%d points ran, want %d: points after the cancel must not run", n, cancelAt+1)
+	}
+	if len(rep.Salvaged) != 1 || len(rep.Salvaged[0].Rows) != cancelAt+1 {
+		t.Fatalf("salvage = %+v, want the %d-point prefix", rep.Salvaged, cancelAt+1)
+	}
+}
+
 // TestEngineUnknownID rejects bad ID subsets up front.
 func TestEngineUnknownID(t *testing.T) {
-	eng := &Engine{IDs: []string{"tab1", "nope"}}
-	if _, err := eng.RunAll(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "nope") {
+	if _, err := Execute(context.Background(), Options{IDs: []string{"tab1", "nope"}}); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("err = %v, want unknown-id error naming %q", err, "nope")
 	}
 }
@@ -166,11 +204,11 @@ func TestReplicateStatistics(t *testing.T) {
 	ctx := context.Background()
 	seeds := []int64{1, 2, 3}
 	ids := []string{"fig2a", "tab1"}
-	eng := &Engine{Concurrency: 4, IDs: ids}
-	agg, err := eng.Replicate(ctx, seeds)
+	rep, err := Execute(ctx, Options{Concurrency: 4, IDs: ids, Seeds: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := rep.Replicated
 	if len(agg) != len(ids) {
 		t.Fatalf("replicated %d experiments, want %d", len(agg), len(ids))
 	}
@@ -230,11 +268,11 @@ func TestReplicateDeterministicAcrossWorkers(t *testing.T) {
 	ids := []string{"fig2a", "fig16", "tab1"}
 	var ref []*ReplicatedResult
 	for _, workers := range []int{1, 3, 8} {
-		eng := &Engine{Concurrency: workers, IDs: ids}
-		agg, err := eng.Replicate(ctx, seeds)
+		rep, err := Execute(ctx, Options{Concurrency: workers, IDs: ids, Seeds: seeds})
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
+		agg := rep.Replicated
 		for i := range agg {
 			agg[i].Elapsed = 0 // wall time legitimately varies
 		}
@@ -299,14 +337,22 @@ func TestExecuteReport(t *testing.T) {
 }
 
 // TestReplicateSingleSeed: one seed is a degenerate but valid
-// replication — the aggregate is that run's table with zero spread,
-// never (nil, nil).
+// replication — the aggregate is that run's table with zero spread.
+// Execute aggregates only multi-seed runs, so fold its single-seed
+// report directly.
 func TestReplicateSingleSeed(t *testing.T) {
-	eng := &Engine{IDs: []string{"tab1"}}
-	agg, err := eng.Replicate(context.Background(), []int64{1})
+	rep, err := Execute(context.Background(), Options{IDs: []string{"tab1"}, Seeds: []int64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep.Replicated != nil {
+		t.Fatalf("single-seed run aggregated: %+v", rep.Replicated)
+	}
+	one, err := replicate("tab1", rep.Seeds, rep.Results, rep.Timings[0].Elapsed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := []*ReplicatedResult{one}
 	if len(agg) != 1 || agg[0].ID != "tab1" {
 		t.Fatalf("agg = %+v", agg)
 	}

@@ -18,42 +18,31 @@ import (
 )
 
 // JobDesc names one leased job in worker-computable terms: which
-// experiment, which seed, and — for a row-sharded job — which
-// contiguous point batch of the sweep axis. It is pure data; a worker
-// process with the same experiment registry recomputes the job from it
-// bit-identically (ComputeJob).
+// experiment, which seed, and which contiguous point batch of the
+// sweep axis. A job of an unsharded run spans the whole axis. It is
+// pure data; a worker process with the same experiment registry — the
+// same build — recomputes the job from it bit-identically (ComputeJob).
 type JobDesc struct {
 	// ID and Seed name the (experiment, seed) cell the job belongs to.
 	ID   string
 	Seed int64
-	// Sharded reports whether the job is a sweep point batch (compute
-	// Count points starting at Point) or a whole-experiment cell
-	// (Point/Count are 0/1 and the worker runs the full experiment).
-	Sharded bool
-	// Point is the first axis index of a sharded job's batch.
+	// Point is the first axis index of the job's batch.
 	Point int
 	// Count is the number of consecutive points the job covers.
 	Count int
 }
 
-// String renders the desc for logs: "fig15/seed7[3+2]" for a sharded
-// batch, "tab1/seed1" for a whole cell.
+// String renders the desc for logs, e.g. "fig15/seed7[3+2]".
 func (d JobDesc) String() string {
-	if d.Sharded {
-		return fmt.Sprintf("%s/seed%d[%d+%d]", d.ID, d.Seed, d.Point, d.Count)
-	}
-	return fmt.Sprintf("%s/seed%d", d.ID, d.Seed)
+	return fmt.Sprintf("%s/seed%d[%d+%d]", d.ID, d.Seed, d.Point, d.Count)
 }
 
 // ExternalResult carries a lease holder's computed output back into
-// the submission. Exactly one of Points/Cell is set, matching the
-// job's shape (JobDesc.Sharded).
+// the submission.
 type ExternalResult struct {
-	// Points holds one PointResult per point of a sharded job's batch,
-	// in axis order.
+	// Points holds one PointResult per point of the job's batch, in
+	// axis order.
 	Points []PointResult
-	// Cell is the full table of a whole-experiment job.
-	Cell *Result
 	// Elapsed optionally reports the holder's compute time for the
 	// whole job; it feeds timing aggregation only, never result bytes.
 	Elapsed time.Duration
@@ -65,32 +54,78 @@ type ExternalResult struct {
 // the same registry produces bit-identical output for the same desc.
 func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 	start := time.Now()
-	if d.Sharded {
-		sw, ok := sweeps[d.ID]
-		if !ok {
-			return ExternalResult{}, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
-		}
-		if d.Point < 0 || d.Count < 1 || d.Point+d.Count > sw.Points {
-			return ExternalResult{}, fmt.Errorf("experiments: %s: batch [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
-		}
-		pts := make([]PointResult, d.Count)
-		if sw.Warm != nil {
-			sw.Warm(ctx, d.Seed, d.Point, d.Count)
-		}
-		for i := 0; i < d.Count; i++ {
-			pt, err := sw.Point(ctx, d.Seed, d.Point+i)
-			if err != nil {
-				return ExternalResult{}, &PointError{Point: d.Point + i, Points: sw.Points, Err: err}
-			}
-			pts[i] = pt
-		}
-		return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
-	}
-	res, err := Run(ctx, d.ID, d.Seed)
+	sw, err := lookupBatch(d)
 	if err != nil {
 		return ExternalResult{}, err
 	}
-	return ExternalResult{Cell: res, Elapsed: time.Since(start)}, nil
+	pts := make([]PointResult, d.Count)
+	if sw.Warm != nil {
+		sw.Warm(ctx, d.Seed, d.Point, d.Count)
+	}
+	for i := 0; i < d.Count; i++ {
+		if err := ctx.Err(); err != nil {
+			return ExternalResult{}, err
+		}
+		pt, err := sw.Point(ctx, d.Seed, d.Point+i)
+		if err != nil {
+			return ExternalResult{}, &PointError{Point: d.Point + i, Points: sw.Points, Err: err}
+		}
+		pts[i] = pt
+	}
+	return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
+}
+
+// lookupBatch resolves d's sweep and checks that its batch lies on the
+// axis.
+func lookupBatch(d JobDesc) (*Sweep, error) {
+	sw, ok := sweeps[d.ID]
+	if !ok {
+		return nil, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
+	}
+	if d.Point < 0 || d.Count < 1 || d.Point+d.Count > sw.Points {
+		return nil, fmt.Errorf("experiments: %s: batch [%d+%d] outside axis of %d points", d.ID, d.Point, d.Count, sw.Points)
+	}
+	return sw, nil
+}
+
+// AssembleCell assembles the output of a job spanning its sweep's whole
+// axis into the finished (experiment, seed) table, through the same
+// fold the coordinator's assembly uses, so a worker persisting the cell
+// directly writes the record the coordinator would. ok is false for a
+// job covering only part of the axis, which is no cell on its own; a
+// malformed batch (wrong length, wrong row arity) is an error.
+func AssembleCell(d JobDesc, pts []PointResult) (res *Result, ok bool, err error) {
+	sw, err := lookupBatch(d)
+	if err != nil {
+		return nil, false, err
+	}
+	if d.Point != 0 || d.Count != sw.Points {
+		return nil, false, nil
+	}
+	if err := checkBatch(sw, d, pts); err != nil {
+		return nil, false, err
+	}
+	res, err = sw.assemble(d.Seed, pts)
+	if err != nil {
+		return nil, false, fmt.Errorf("experiments: %s (seed %d): %w", d.ID, d.Seed, err)
+	}
+	return res, true, nil
+}
+
+// checkBatch validates a batch's output against its sweep: one
+// PointResult per point of d, every row as wide as the sweep's columns.
+func checkBatch(sw *Sweep, d JobDesc, pts []PointResult) error {
+	if len(pts) != d.Count {
+		return fmt.Errorf("experiments: %s: completion carries %d points, lease covers %d", d, len(pts), d.Count)
+	}
+	for i, pt := range pts {
+		for _, row := range pt.Rows {
+			if len(row) != len(sw.Columns) {
+				return fmt.Errorf("experiments: %s: point %d row arity %d != %d columns", d, d.Point+i, len(row), len(sw.Columns))
+			}
+		}
+	}
+	return nil
 }
 
 // LeasedJob is one job dealt to an external holder by TryLease. The
@@ -141,13 +176,7 @@ func (s *Scheduler) TryLease() *LeasedJob {
 // Desc returns the job in worker-computable terms.
 func (l *LeasedJob) Desc() JobDesc {
 	c := &l.sub.cells[l.jb.cell]
-	return JobDesc{
-		ID:      c.id,
-		Seed:    c.seed,
-		Sharded: c.sweep != nil,
-		Point:   l.jb.point,
-		Count:   l.jb.count,
-	}
+	return JobDesc{ID: c.id, Seed: c.seed, Point: l.jb.point, Count: l.jb.count}
 }
 
 // Settled reports whether the job has already reached a terminal state
@@ -157,59 +186,29 @@ func (l *LeasedJob) Desc() JobDesc {
 func (l *LeasedJob) Settled() bool { return l.sub.settled[l.jb.ji].Load() }
 
 // Complete delivers the holder's computed output. A malformed payload
-// (wrong batch length, wrong row arity, missing table) is rejected
-// with an error BEFORE the settle CAS, leaving the job leased — the
-// caller abandons it so an honest worker recomputes it; a corrupt
-// reply must never poison collection slots. A well-formed duplicate —
-// the job was reassigned and someone else already settled it — is
-// dropped silently: Complete returns nil and the slots keep the first
-// writer's bytes, which are identical anyway (invariant 1).
+// (wrong batch length, wrong row arity) is rejected with an error
+// BEFORE the settle CAS, leaving the job leased — the caller abandons
+// it so an honest worker recomputes it; a corrupt reply must never
+// poison collection slots. A well-formed duplicate — the job was
+// reassigned and someone else already settled it — is dropped
+// silently: Complete returns nil and the slots keep the first writer's
+// bytes, which are identical anyway (invariant 1).
 func (l *LeasedJob) Complete(res ExternalResult) error {
 	sub, jb := l.sub, l.jb
 	c := &sub.cells[jb.cell]
-	if c.sweep != nil {
-		if len(res.Points) != jb.count {
-			return fmt.Errorf("experiments: %s: completion carries %d points, lease covers %d", l.Desc(), len(res.Points), jb.count)
-		}
-		for i, pt := range res.Points {
-			for _, row := range pt.Rows {
-				if len(row) != len(c.sweep.Columns) {
-					return fmt.Errorf("experiments: %s: point %d row arity %d != %d columns", l.Desc(), jb.point+i, len(row), len(c.sweep.Columns))
-				}
-			}
-		}
-	} else {
-		if res.Cell == nil {
-			return fmt.Errorf("experiments: %s: completion carries no result table", l.Desc())
-		}
-		if res.Cell.ID != c.id {
-			return fmt.Errorf("experiments: %s: completion names experiment %q", l.Desc(), res.Cell.ID)
-		}
-		for ri, row := range res.Cell.Rows {
-			if len(row) != len(res.Cell.Columns) {
-				return fmt.Errorf("experiments: %s: row %d arity %d != %d columns", l.Desc(), ri, len(row), len(res.Cell.Columns))
-			}
-		}
+	if err := checkBatch(c.sweep, l.Desc(), res.Points); err != nil {
+		return err
 	}
 	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
 		l.detach()
 		return nil // duplicate or post-abandon completion: dropped
 	}
 	now := time.Now()
-	if c.sweep != nil {
-		for i, pt := range res.Points {
-			p := jb.point + i
-			c.started[p] = now
-			c.points[p] = pt
-			c.done[p] = true
-		}
-		c.elapsed[jb.point] = res.Elapsed
-	} else {
-		c.started[jb.point] = now
-		c.elapsed[jb.point] = res.Elapsed
-		c.res = res.Cell
-		c.done[jb.point] = true
+	for i, pt := range res.Points {
+		sl := &c.slots[jb.point+i]
+		sl.started, sl.pt, sl.done = now, pt, true
 	}
+	c.slots[jb.point].elapsed = res.Elapsed
 	l.detach()
 	sub.jobDone(1)
 	return nil
@@ -224,11 +223,7 @@ func (l *LeasedJob) Fail(err error) {
 		l.detach()
 		return
 	}
-	c := &sub.cells[jb.cell]
-	if c.sweep == nil {
-		err = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
-	}
-	c.errs[jb.point] = err
+	sub.cells[jb.cell].slots[jb.point].err = err
 	sub.cancelFn()
 	l.detach()
 	sub.jobDone(1)

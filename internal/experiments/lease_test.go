@@ -265,7 +265,7 @@ func TestLeaseCompleteValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := lj.Complete(ExternalResult{}); err == nil {
-		t.Error("empty payload accepted for a sharded job")
+		t.Error("empty payload accepted")
 	}
 	short := ExternalResult{Points: good.Points[:len(good.Points)-1]}
 	if err := lj.Complete(short); err == nil {
@@ -301,30 +301,58 @@ func TestLeaseCompleteValidates(t *testing.T) {
 // confused or stale worker) error instead of panicking.
 func TestComputeJobValidatesDesc(t *testing.T) {
 	ctx := context.Background()
-	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such", Sharded: true, Count: 1}); err == nil {
+	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such", Count: 1}); err == nil {
 		t.Error("unknown sweep accepted")
 	}
-	if _, err := ComputeJob(ctx, JobDesc{ID: "tab1", Sharded: true, Point: 10000, Count: 5}); err == nil {
+	if _, err := ComputeJob(ctx, JobDesc{ID: "tab1", Point: 10000, Count: 5}); err == nil {
 		t.Error("out-of-axis batch accepted")
+	}
+	if _, err := ComputeJob(ctx, JobDesc{ID: "tab1"}); err == nil {
+		t.Error("empty batch accepted")
 	}
 	if _, err := ComputeJob(ctx, JobDesc{ID: "no-such"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
-// TestLeaseRoundTripEncoding: an ExternalResult that crosses the wire
-// must round-trip NaN and ±Inf exactly; this guards the in-memory half
-// (the fleet package's wire tests guard the string encoding).
+// TestLeaseRoundTripEncoding: a whole-axis job computed remotely
+// assembles into exactly the table the serial path produces; this guards
+// the in-memory half (the fleet package's wire tests guard the string
+// encoding).
 func TestLeaseRoundTripEncoding(t *testing.T) {
-	res, err := ComputeJob(context.Background(), JobDesc{ID: "tab1", Seed: 1})
+	ctx := context.Background()
+	d := JobDesc{ID: "tab1", Seed: 1, Count: len(Table1Biases)}
+	res, err := ComputeJob(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cell == nil || len(res.Cell.Rows) == 0 {
+	cell, ok, err := AssembleCell(d, res.Points)
+	if err != nil || !ok {
+		t.Fatalf("AssembleCell = %v, %v", ok, err)
+	}
+	if len(cell.Rows) == 0 {
 		t.Fatal("whole-cell compute returned no table")
 	}
-	var buf bytes.Buffer
-	if err := res.Cell.Render(&buf); err != nil {
+	want, err := Run(ctx, "tab1", 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !sameResult(cell, want) {
+		t.Error("assembled cell differs from the serial table")
+	}
+	var buf bytes.Buffer
+	if err := cell.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	part := JobDesc{ID: "tab1", Seed: 1, Count: 1}
+	if _, ok, err := AssembleCell(part, res.Points[:1]); ok || err != nil {
+		t.Errorf("partial batch assembled as a cell: ok %v, err %v", ok, err)
+	}
+	if _, _, err := AssembleCell(d, res.Points[1:]); err == nil {
+		t.Error("short whole-axis batch assembled")
+	}
+	bad := append([]PointResult{{Rows: [][]float64{{1}}}}, res.Points[1:]...)
+	if _, _, err := AssembleCell(d, bad); err == nil {
+		t.Error("wrong-arity row assembled")
 	}
 }

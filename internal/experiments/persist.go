@@ -15,8 +15,11 @@ import (
 	"github.com/llama-surface/llama/internal/store"
 )
 
-// storeRecord converts one computed cell into its persisted form.
-func storeRecord(res *Result, seed int64, meta store.Meta) *store.Record {
+// CellRecord converts one computed cell into its persisted store form
+// — the exact record a submission's finalize writes, so worker-side
+// (fleet) and coordinator-side persistence of the same cell produce
+// byte-identical files.
+func CellRecord(res *Result, seed int64, meta store.Meta) *store.Record {
 	return &store.Record{
 		ID:      res.ID,
 		Seed:    seed,
@@ -26,14 +29,6 @@ func storeRecord(res *Result, seed int64, meta store.Meta) *store.Record {
 		Notes:   slices.Clone(res.Notes),
 		Meta:    meta,
 	}
-}
-
-// CellRecord converts one computed cell into its persisted store form
-// — the exact record a submission's finalize writes, so worker-side
-// (fleet) and coordinator-side persistence of the same cell produce
-// byte-identical files.
-func CellRecord(res *Result, seed int64, meta store.Meta) *store.Record {
-	return storeRecord(res, seed, meta)
 }
 
 // resultFromRecord converts a validated store record back into the

@@ -1,17 +1,16 @@
 package experiments
 
-// The scheduler is the engine's execution core, split out of the old
-// one-shot Engine.run monolith so ONE bounded worker pool can serve MANY
-// concurrent submissions: a long-lived service Submits runs as they
-// arrive and every run's jobs — whole-experiment cells, sharded sweep
+// The scheduler is the engine's execution core: ONE bounded worker pool
+// serves MANY concurrent submissions: a long-lived service Submits runs
+// as they arrive and every run's jobs — whole-axis cells, sharded sweep
 // points, batched point runs — interleave in the same queue. Collection
 // stays slot-indexed per submission and assembly runs per submission in
 // slot order, so sharing the pool cannot change any submission's bytes;
 // that is what lets `llama-serve` promise service-served results
 // bit-identical to `llama-bench` output (determinism invariant 7 in
-// ARCHITECTURE.md). The one-shot paths (Engine, Execute,
-// llama.RunExperiments) construct a private scheduler per run, so every
-// entry point executes this same core.
+// ARCHITECTURE.md). The one-shot path (Execute, llama.RunExperiments)
+// constructs a private scheduler per run, so every entry point executes
+// this same core.
 
 import (
 	"context"
@@ -37,7 +36,8 @@ type RunSpec struct {
 	IDs []string
 	// Seeds are the replication seeds; nil means {1}.
 	Seeds []int64
-	// ShardRows splits sweep-shaped experiments into per-point row jobs.
+	// ShardRows splits each cell's sweep axis into jobs of BatchRows
+	// points; unset, one job spans the whole axis.
 	ShardRows bool
 	// BatchRows groups that many consecutive sweep points per sharded
 	// job; ≤1 means one point per job.
@@ -386,11 +386,11 @@ func (s *Scheduler) Close() {
 	s.pool.Wait()
 }
 
-// schedJob is one unit of queued work: a whole-experiment cell, one
-// sweep point, or a contiguous batch of points of one cell. ji is the
-// job's index in its submission's fixed queue — the settle key that
-// makes completion idempotent when a job is dispatched more than once
-// (lease expiry requeues it).
+// schedJob is one unit of queued work: a contiguous batch of one
+// cell's sweep points — the whole axis unless the run shards rows. ji
+// is the job's index in its submission's fixed queue — the settle key
+// that makes completion idempotent when a job is dispatched more than
+// once (lease expiry requeues it).
 type schedJob struct {
 	sub          *submission
 	cell         int
@@ -497,9 +497,10 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 		done:       make(chan struct{}),
 	}
 	// Lay out every cell and its job slots before any worker starts: the
-	// fixed layout is what makes collection order-independent. With
-	// BatchRows > 1 a job covers a contiguous run of sweep points, but
-	// collection slots stay per point, so batching cannot reorder rows.
+	// fixed layout is what makes collection order-independent. A job
+	// covers a contiguous run of sweep points — the whole axis, or
+	// BatchRows points with ShardRows — but collection slots stay per
+	// point, so the batch size cannot reorder rows.
 	sub.cells = make([]cellRun, 0, len(ids)*len(seeds))
 	for _, id := range ids {
 		for _, seed := range seeds {
@@ -518,33 +519,19 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 					sub.storeWarns = append(sub.storeWarns, warn)
 				}
 			}
+			sw := sweeps[id]
+			c.sweep = sw
+			c.slots = make([]pointSlot, sw.Points)
+			n := sw.Points
 			if spec.ShardRows {
-				c.sweep = sweeps[id]
+				n = batch
 			}
-			slots := 1
-			if c.sweep != nil {
-				slots = c.sweep.Points
-			}
-			c.points = make([]PointResult, slots)
-			c.done = make([]bool, slots)
-			c.errs = make([]error, slots)
-			c.started = make([]time.Time, slots)
-			c.elapsed = make([]time.Duration, slots)
-			c.cacheHits = make([]uint64, slots)
-			c.cacheMisses = make([]uint64, slots)
 			ci := len(sub.cells)
-			sub.cells = append(sub.cells, c)
-			if c.sweep != nil {
-				for p := 0; p < c.sweep.Points; p += batch {
-					n := batch
-					if p+n > c.sweep.Points {
-						n = c.sweep.Points - p
-					}
-					sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: n})
-				}
-			} else {
-				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: 0, count: 1})
+			for p := 0; p < sw.Points; p += n {
+				sub.queue = append(sub.queue, schedJob{sub: sub, cell: ci, point: p, count: min(n, sw.Points-p)})
+				c.njobs++
 			}
+			sub.cells = append(sub.cells, c)
 		}
 	}
 	for i := range sub.queue {
@@ -566,88 +553,54 @@ func (sub *submission) execute(jb schedJob) {
 		return // a late external completion beat the requeue; nothing to do
 	}
 	c := &sub.cells[jb.cell]
-	if c.sweep == nil {
-		var cs metasurface.CacheStats
-		if sub.trackCache {
-			cs = metasurface.GlobalCacheStats()
-		}
-		started := time.Now()
-		res, err := Run(sub.ctx, c.id, c.seed)
-		elapsed := time.Since(started)
-		var hits, misses uint64
-		if sub.trackCache {
-			d := metasurface.GlobalCacheStats().Sub(cs)
-			hits, misses = d.Hits, d.Misses
-		}
-		if !sub.settled[jb.ji].CompareAndSwap(false, true) {
-			return
-		}
-		defer sub.jobDone(1)
-		c.started[jb.point] = started
-		c.elapsed[jb.point] = elapsed
-		c.cacheHits[jb.point], c.cacheMisses[jb.point] = hits, misses
-		if err != nil {
-			c.errs[jb.point] = fmt.Errorf("experiments: %s (seed %d): %w", c.id, c.seed, err)
-			if res != nil && len(res.Rows) > 0 {
-				c.partial = res // a sweep's serial runner salvages its prefix
-			}
-			sub.cancelFn() // fail fast: stop feeding this submission's jobs
-			return
-		}
-		c.res = res
-		c.done[jb.point] = true
-		return
-	}
-	scratch := make([]PointResult, jb.count)
-	started := make([]time.Time, jb.count)
-	elapsed := make([]time.Duration, jb.count)
-	hits := make([]uint64, jb.count)
-	misses := make([]uint64, jb.count)
-	ran := 0
+	scratch := make([]pointSlot, jb.count)
+	// A job spanning its whole axis stops before its next point once the
+	// submission is cancelled, as the serial path does, so cancelling it
+	// is as prompt as cancelling a point. A shard batch is already short
+	// and runs to its end: after a fail-fast cancellation its points
+	// still extend the salvaged prefix.
+	whole := jb.count == c.sweep.Points
+	n := 0
 	var runErr error
-	for p := jb.point; p < jb.point+jb.count; p++ {
-		i := p - jb.point
+	for ; n < jb.count; n++ {
+		if whole {
+			if runErr = sub.ctx.Err(); runErr != nil {
+				break
+			}
+		}
+		sl := &scratch[n]
 		var cs metasurface.CacheStats
 		if sub.trackCache {
 			cs = metasurface.GlobalCacheStats()
 		}
-		started[i] = time.Now()
-		if p == jb.point && c.sweep.Warm != nil {
+		sl.started = time.Now()
+		if n == 0 && c.sweep.Warm != nil {
 			// Warm the whole batch inside the first point's stat-sampling
 			// window, so warming's cache traffic stays attributed to this
 			// batch (per-point counters still sum to the run totals).
 			c.sweep.Warm(sub.ctx, c.seed, jb.point, jb.count)
 		}
-		pt, err := c.sweep.Point(sub.ctx, c.seed, p)
-		elapsed[i] = time.Since(started[i])
+		pt, err := c.sweep.Point(sub.ctx, c.seed, jb.point+n)
+		sl.elapsed = time.Since(sl.started)
 		if sub.trackCache {
 			d := metasurface.GlobalCacheStats().Sub(cs)
-			hits[i], misses[i] = d.Hits, d.Misses
+			sl.hits, sl.misses = d.Hits, d.Misses
 		}
-		ran++
 		if err != nil {
 			runErr = err
 			break // the batch's remaining points stay unrun
 		}
-		scratch[i] = pt
+		sl.pt, sl.done = pt, true
 	}
 	if !sub.settled[jb.ji].CompareAndSwap(false, true) {
 		return
 	}
 	defer sub.jobDone(1)
-	for i := 0; i < ran; i++ {
-		p := jb.point + i
-		c.started[p] = started[i]
-		c.elapsed[p] = elapsed[i]
-		c.cacheHits[p], c.cacheMisses[p] = hits[i], misses[i]
-		if i == ran-1 && runErr != nil {
-			c.errs[p] = runErr
-			sub.cancelFn()
-			return
-		}
-		c.points[p] = scratch[i]
-		c.done[p] = true
+	if runErr != nil {
+		scratch[n].err = runErr
+		sub.cancelFn() // fail fast: stop feeding this submission's jobs
 	}
+	copy(c.slots[jb.point:], scratch)
 }
 
 // jobDone accounts n finished (or abandoned) job slots; retiring the
@@ -717,10 +670,6 @@ func (sub *submission) finalize() {
 	if firstErr == nil {
 		for ci := range cells {
 			cerr := cells[ci].err
-			if cerr == nil && len(cells[ci].errs) > 0 {
-				// A whole-experiment worker error lands in errs[0].
-				cerr = cells[ci].errs[0]
-			}
 			if cerr == nil {
 				continue
 			}
@@ -750,7 +699,7 @@ func (sub *submission) finalize() {
 				continue
 			}
 			h, m := c.cacheDelta()
-			rec := storeRecord(c.res, c.seed, store.Meta{
+			rec := CellRecord(c.res, c.seed, store.Meta{
 				Concurrency: conc, ShardRows: sub.spec.ShardRows, BatchRows: sub.batch,
 				CacheHits: h, CacheMisses: m, ElapsedNs: int64(c.busy()),
 			})
@@ -806,9 +755,7 @@ func (sub *submission) finalize() {
 			h, m := c.cacheDelta()
 			hits += h
 			misses += m
-			if c.jobs() > points {
-				points = c.jobs()
-			}
+			points = max(points, c.njobs)
 			if c.res != nil {
 				if incomplete {
 					rep.Salvaged = append(rep.Salvaged, c.res)
@@ -892,9 +839,9 @@ func (h *RunHandle) Progress() Progress {
 
 // Progress is a point-in-time snapshot of one submission.
 type Progress struct {
-	// TotalJobs and DoneJobs count queued job slots (experiment cells,
-	// sweep points, or point batches); DoneJobs includes slots abandoned
-	// by cancellation, so it always reaches TotalJobs.
+	// TotalJobs and DoneJobs count queued jobs (whole-axis cells, sweep
+	// points, or point batches); DoneJobs includes jobs abandoned by
+	// cancellation, so it always reaches TotalJobs.
 	TotalJobs, DoneJobs int
 	// TotalCells is the (experiment × seed) cell count of the spec;
 	// ReusedCells of those were answered from the store at layout.

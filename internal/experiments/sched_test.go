@@ -205,13 +205,12 @@ func TestResolveIDsEmptyAndDuplicates(t *testing.T) {
 	}
 }
 
-// TestEngineResumeRequiresStore: the Engine-level guard matching the
-// Options/CLI checks — Resume with no Store configured is a
-// configuration error, not a silent no-op.
+// TestEngineResumeRequiresStore: the one-shot guard matching the
+// CLI check — Resume with no store configured is a configuration error,
+// not a silent no-op.
 func TestEngineResumeRequiresStore(t *testing.T) {
-	eng := &Engine{Resume: true}
-	if _, err := eng.RunAll(context.Background(), 1); err == nil || !strings.Contains(err.Error(), "Engine.Store") {
-		t.Errorf("err = %v, want Engine.Store requirement", err)
+	if _, err := Execute(context.Background(), Options{Resume: true}); err == nil || !strings.Contains(err.Error(), "StoreDir") {
+		t.Errorf("err = %v, want StoreDir requirement", err)
 	}
 }
 

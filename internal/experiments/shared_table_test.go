@@ -35,13 +35,12 @@ func TestSharedTableTransparent(t *testing.T) {
 	metasurface.SetCaching(false)
 	ref := map[int64][]*Result{}
 	for _, seed := range seeds {
-		eng := &Engine{Concurrency: 1, IDs: ids}
-		res, err := eng.RunAll(ctx, seed)
+		rep, err := Execute(ctx, Options{Concurrency: 1, IDs: ids, Seeds: []int64{seed}})
 		if err != nil {
 			metasurface.SetCaching(true)
 			t.Fatalf("uncached reference seed %d: %v", seed, err)
 		}
-		ref[seed] = res
+		ref[seed] = rep.Results
 	}
 	metasurface.SetCaching(true)
 
@@ -168,7 +167,7 @@ func TestLUTRunTaintsStoredCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put(storeRecord(&approx, 1, store.Meta{Concurrency: 1, LUT: true})); err != nil {
+	if err := st.Put(CellRecord(&approx, 1, store.Meta{Concurrency: 1, LUT: true})); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Sync(); err != nil {

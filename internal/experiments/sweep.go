@@ -7,10 +7,12 @@ import (
 
 // A Sweep declares one experiment as an axis of independent points: a
 // fixed number of points plus a per-point function that is pure in
-// (seed, point). The serial reference path executes points 0..Points-1 in
-// order; the Engine, when row sharding is enabled, fans the same points
-// out across its worker pool as individual jobs and reassembles them in
-// slot (point) order, so both paths produce bit-identical tables.
+// (seed, point). Every experiment is a Sweep. The serial reference path
+// (Run) executes points 0..Points-1 in order; the scheduler runs each
+// (experiment, seed) cell as jobs over contiguous batches of the axis —
+// one job spanning [0, Points) by default, one job per BatchRows points
+// with row sharding — and reassembles them in slot (point) order, so
+// every path produces bit-identical tables.
 //
 // A sweep point may produce several rows (a histogram computed in one
 // pass) or exactly one (a distance step of a §5 sweep). Experiments whose
@@ -28,8 +30,8 @@ type Sweep struct {
 	Points int
 	// Point computes point i. It must be pure in (seed, i): no state may
 	// leak between points, and ctx is consulted only for cancellation.
-	// That purity is the sharding contract — the Engine may run points in
-	// any order on any goroutine.
+	// That purity is the sharding contract — the scheduler may run points
+	// in any order on any goroutine.
 	Point func(ctx context.Context, seed int64, i int) (PointResult, error)
 	// Finish post-processes the assembled table (summary notes computed
 	// over all rows). It runs exactly once, after every point, on the
@@ -81,30 +83,29 @@ func (e *PointError) Error() string {
 // Unwrap returns the underlying point failure.
 func (e *PointError) Unwrap() error { return e.Err }
 
-// sweeps indexes the row-shardable experiments by ID. Every sweep is also
-// in registry (via its serial closure), so the non-sharded paths need no
-// special cases.
+// sweeps is the experiment registry, keyed by ID and populated by init
+// functions in the per-figure files.
 var sweeps = map[string]*Sweep{}
 
 // RegisterSweep adds a custom sweep-shaped experiment to the registry,
 // making it runnable by ID through every execution path (serial,
-// engine, scheduler, service). It is intended for init-time extension —
-// registration is not safe concurrently with running experiments — and
-// panics on a duplicate ID, a nil Point function or negative Points,
-// all programmer errors.
+// Execute, scheduler, service, fleet). It is intended for init-time
+// extension — registration is not safe concurrently with running
+// experiments — and panics on a duplicate ID, a nil Point function or
+// negative Points, all programmer errors.
 func RegisterSweep(s *Sweep) { registerSweep(s) }
 
-// registerSweep registers a sweep-shaped experiment: the serial closure
-// goes into the ordinary registry and the sweep itself is indexed for the
-// Engine's row-sharded mode.
+// registerSweep adds an experiment to the registry.
 func registerSweep(s *Sweep) {
+	if _, dup := sweeps[s.ID]; dup {
+		panic("experiments: duplicate id " + s.ID)
+	}
 	if s.Point == nil {
 		panic("experiments: sweep " + s.ID + " has no Point function")
 	}
 	if s.Points < 0 {
 		panic("experiments: sweep " + s.ID + " has negative Points")
 	}
-	register(s.ID, s.Description, s.runSerial)
 	sweeps[s.ID] = s
 }
 
@@ -134,8 +135,22 @@ func (s *Sweep) finish(res *Result, seed int64) error {
 	return s.Finish(res, seed)
 }
 
-// runSerial is the sweep's registry Runner: points in axis order on one
-// goroutine — the reference the sharded path must reproduce bit-for-bit.
+// assemble folds pts, the outputs of an axis prefix in order, into a
+// table. Finish runs only when the prefix is the whole axis: on a
+// truncated table its summary would describe rows that do not exist.
+func (s *Sweep) assemble(seed int64, pts []PointResult) (*Result, error) {
+	res := s.newResult()
+	for _, pt := range pts {
+		s.appendPoint(res, pt)
+	}
+	if len(pts) < s.Points {
+		return res, nil
+	}
+	return res, s.finish(res, seed)
+}
+
+// runSerial executes the sweep's points in axis order on one goroutine —
+// the reference the scheduler must reproduce bit-for-bit.
 // On a point failure the rows assembled so far are returned alongside a
 // *PointError naming the failing point, so callers can salvage the
 // completed prefix.

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -123,16 +124,13 @@ func referenceCSV(t *testing.T, spec experiments.RunSpec) string {
 }
 
 // TestFleetHTTPEndToEnd: real Workers over real HTTP drain a
-// lease-only run — sharded sweep jobs and whole-experiment cells,
-// NaN/Inf cells included — to bytes identical to the single-process
-// reference, and the workers' whole-cell records land in the shared
-// store byte-identically to coordinator-side persistence.
+// lease-only run of 4-point batches, NaN/Inf cells included, to bytes
+// identical to the single-process reference; the workers' stores see
+// only partial cells, which they leave to the coordinator.
 func TestFleetHTTPEndToEnd(t *testing.T) {
 	spec := experiments.RunSpec{
-		IDs:   []string{"fleet-chaos", "tab1"},
-		Seeds: []int64{1, 2},
-		// tab1 rides whole-cell (unsharded sweeps still shard when
-		// ShardRows is set, so shard fleet-chaos but keep batches >1).
+		IDs:       []string{"fleet-chaos", "tab1"},
+		Seeds:     []int64{1, 2},
 		ShardRows: true,
 		BatchRows: 4,
 	}
@@ -157,6 +155,46 @@ func TestFleetHTTPEndToEnd(t *testing.T) {
 	}
 	if st := c.Stats(); st.Completed == 0 {
 		t.Errorf("coordinator stats %+v: no completions", st)
+	}
+	if n := wst.Len(); n != 0 {
+		t.Errorf("worker store holds %d records, want none from partial batches", n)
+	}
+}
+
+// TestWorkerPersistsWholeCells: in an unsharded run every job spans its
+// cell's whole axis, so a worker with a Store persists every cell itself
+// (the shared-filesystem recovery copy), and each record decodes to
+// exactly the table Execute produces for that cell.
+func TestWorkerPersistsWholeCells(t *testing.T) {
+	spec := experiments.RunSpec{IDs: []string{"fleet-chaos", "tab1"}, Seeds: []int64{1, 2}}
+	sched, _, ts := httpFleet(t, 2*time.Second)
+	wst, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stop := startWorkers(t, ts.URL, 2, func(wc *WorkerConfig) { wc.Store = wst })
+	defer stop()
+	if got, want := runCSV(t, sched, spec), referenceCSV(t, spec); got != want {
+		t.Error("unsharded fleet bytes differ from single-process run")
+	}
+	if n := wst.Len(); n != len(spec.IDs)*len(spec.Seeds) {
+		t.Errorf("worker store holds %d records, want %d", n, len(spec.IDs)*len(spec.Seeds))
+	}
+	for _, seed := range spec.Seeds {
+		rep, err := experiments.Execute(context.Background(), experiments.Options{IDs: spec.IDs, Seeds: []int64{seed}, Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range rep.Results {
+			rec, err := wst.Get(want.ID, seed)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", want.ID, seed, err)
+			}
+			if rec.Title != want.Title || !reflect.DeepEqual(rec.Columns, want.Columns) ||
+				!reflect.DeepEqual(rec.Notes, want.Notes) || !reflect.DeepEqual(rec.Rows, store.EncodeRows(want.Rows)) {
+				t.Errorf("%s seed %d: worker record differs from Execute's table", want.ID, seed)
+			}
+		}
 	}
 }
 
@@ -262,13 +300,12 @@ func TestFleetScaling(t *testing.T) {
 // numbers.
 func TestWireEncodingRoundTrip(t *testing.T) {
 	res, err := experiments.ComputeJob(context.Background(), experiments.JobDesc{
-		ID: "fleet-chaos", Seed: 3, Sharded: true, Point: 0, Count: 5,
+		ID: "fleet-chaos", Seed: 3, Point: 0, Count: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, cell := toWire(res)
-	back, err := fromWire(completeRequest{Points: pts, Cell: cell})
+	back, err := fromWire(completeRequest{Points: toWire(res)})
 	if err != nil {
 		t.Fatal(err)
 	}

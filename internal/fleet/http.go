@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -44,21 +45,13 @@ type leaseResponse struct {
 	TTLMillis int64 `json:"ttl_ms"`
 }
 
-// wireDesc mirrors experiments.JobDesc field for field.
+// wireDesc mirrors experiments.JobDesc field for field, so the two
+// convert directly.
 type wireDesc struct {
-	ID      string `json:"id"`
-	Seed    int64  `json:"seed"`
-	Sharded bool   `json:"sharded"`
-	Point   int    `json:"point"`
-	Count   int    `json:"count"`
-}
-
-func toWireDesc(d experiments.JobDesc) wireDesc {
-	return wireDesc{ID: d.ID, Seed: d.Seed, Sharded: d.Sharded, Point: d.Point, Count: d.Count}
-}
-
-func (w wireDesc) desc() experiments.JobDesc {
-	return experiments.JobDesc{ID: w.ID, Seed: w.Seed, Sharded: w.Sharded, Point: w.Point, Count: w.Count}
+	ID    string `json:"id"`
+	Seed  int64  `json:"seed"`
+	Point int    `json:"point"`
+	Count int    `json:"count"`
 }
 
 // heartbeatRequest is the body of POST /fleet/heartbeat.
@@ -67,16 +60,14 @@ type heartbeatRequest struct {
 }
 
 // completeRequest is the body of POST /fleet/complete: either Error
-// (the worker's compute failure) or the job-shaped result payload.
+// (the worker's compute failure) or the job's per-point output.
 type completeRequest struct {
 	LeaseID string `json:"lease_id"`
 	// Error, when non-empty, reports the worker's compute failure; the
 	// result fields are then ignored.
 	Error string `json:"error,omitempty"`
-	// Points carries a sharded job's per-point output, in batch order.
+	// Points carries the job's per-point output, in batch order.
 	Points []wirePoint `json:"points,omitempty"`
-	// Cell carries a whole-experiment job's table.
-	Cell *wireResult `json:"cell,omitempty"`
 	// ElapsedMillis is the worker's compute time for the job.
 	ElapsedMillis int64 `json:"elapsed_ms"`
 }
@@ -85,15 +76,6 @@ type completeRequest struct {
 type wirePoint struct {
 	Rows  [][]string `json:"rows,omitempty"`
 	Notes []string   `json:"notes,omitempty"`
-}
-
-// wireResult is a whole experiment table with string-encoded rows.
-type wireResult struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows,omitempty"`
-	Notes   []string   `json:"notes,omitempty"`
 }
 
 // decodeWireRows parses string cells back to float64 rows (bit-exact,
@@ -115,27 +97,24 @@ func decodeWireRows(rows [][]string) ([][]float64, error) {
 }
 
 // toWire encodes an in-memory result for the completion payload.
-func toWire(res experiments.ExternalResult) ([]wirePoint, *wireResult) {
+func toWire(res experiments.ExternalResult) []wirePoint {
 	var pts []wirePoint
 	for _, p := range res.Points {
 		pts = append(pts, wirePoint{Rows: store.EncodeRows(p.Rows), Notes: p.Notes})
 	}
-	var cell *wireResult
-	if res.Cell != nil {
-		cell = &wireResult{
-			ID:      res.Cell.ID,
-			Title:   res.Cell.Title,
-			Columns: res.Cell.Columns,
-			Rows:    store.EncodeRows(res.Cell.Rows),
-			Notes:   res.Cell.Notes,
-		}
-	}
-	return pts, cell
+	return pts
 }
+
+// maxElapsedMillis bounds the reported compute time to what a
+// time.Duration holds.
+const maxElapsedMillis = math.MaxInt64 / int64(time.Millisecond)
 
 // fromWire decodes a completion payload back to an ExternalResult.
 func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 	var out experiments.ExternalResult
+	if req.ElapsedMillis < 0 || req.ElapsedMillis > maxElapsedMillis {
+		return out, fmt.Errorf("elapsed_ms %d out of range", req.ElapsedMillis)
+	}
 	out.Elapsed = time.Duration(req.ElapsedMillis) * time.Millisecond
 	for i, p := range req.Points {
 		rows, err := decodeWireRows(p.Rows)
@@ -143,19 +122,6 @@ func fromWire(req completeRequest) (experiments.ExternalResult, error) {
 			return out, fmt.Errorf("point %d: %w", i, err)
 		}
 		out.Points = append(out.Points, experiments.PointResult{Rows: rows, Notes: p.Notes})
-	}
-	if req.Cell != nil {
-		rows, err := decodeWireRows(req.Cell.Rows)
-		if err != nil {
-			return out, fmt.Errorf("cell: %w", err)
-		}
-		out.Cell = &experiments.Result{
-			ID:      req.Cell.ID,
-			Title:   req.Cell.Title,
-			Columns: req.Cell.Columns,
-			Rows:    rows,
-			Notes:   req.Cell.Notes,
-		}
 	}
 	return out, nil
 }
@@ -186,7 +152,7 @@ func Handler(c *Coordinator) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, leaseResponse{
 			LeaseID:   g.ID,
-			Job:       toWireDesc(g.Desc),
+			Job:       wireDesc(g.Desc),
 			TTLMillis: g.TTL.Milliseconds(),
 		})
 	})
@@ -316,7 +282,7 @@ func (c *Client) Lease(worker string, tables *WorkerTables) (grant Grant, ok boo
 	}
 	return Grant{
 		ID:   resp.LeaseID,
-		Desc: resp.Job.desc(),
+		Desc: experiments.JobDesc(resp.Job),
 		TTL:  time.Duration(resp.TTLMillis) * time.Millisecond,
 	}, true, nil
 }
@@ -330,11 +296,9 @@ func (c *Client) Heartbeat(leaseID string) error {
 
 // Complete posts the job's computed result under its lease.
 func (c *Client) Complete(leaseID string, res experiments.ExternalResult) error {
-	pts, cell := toWire(res)
 	_, err := c.post("/fleet/complete", completeRequest{
 		LeaseID:       leaseID,
-		Points:        pts,
-		Cell:          cell,
+		Points:        toWire(res),
 		ElapsedMillis: res.Elapsed.Milliseconds(),
 	}, nil)
 	return err

@@ -23,12 +23,13 @@ type WorkerConfig struct {
 	// Name identifies the worker in coordinator logs; defaults to
 	// "worker".
 	Name string
-	// Store, when non-nil, persists whole-experiment cell results
-	// directly (shared filesystem deployments); sharded point batches
-	// are partial cells and always flow back through the coordinator,
-	// whose finalize persists them. Duplicate cell writes from racing
-	// workers are safe: records are deterministic and written atomically
-	// (see internal/store's cross-process notes).
+	// Store, when non-nil, persists the cell of every job spanning its
+	// sweep's whole axis directly (a recovery copy for shared-filesystem
+	// deployments); jobs covering part of an axis are partial cells and
+	// always flow back through the coordinator, whose finalize persists
+	// them. Duplicate cell writes from racing workers are safe: records
+	// are deterministic and written atomically (see internal/store's
+	// cross-process notes).
 	Store *store.Store
 	// Poll is the idle backoff between lease attempts when the
 	// coordinator has no work; defaults to 200ms.
@@ -155,18 +156,31 @@ func (w *Worker) runJob(ctx context.Context, g Grant) {
 		}
 		return
 	}
-	if w.cfg.Store != nil && res.Cell != nil {
-		rec := experiments.CellRecord(res.Cell, g.Desc.Seed, store.Meta{
-			Concurrency: 1, ElapsedNs: int64(res.Elapsed),
-		})
-		if perr := w.cfg.Store.Put(rec); perr != nil {
-			w.cfg.Logf("fleet worker %s: persisting %s: %v", w.cfg.Name, g.Desc, perr)
-		} else if perr := w.cfg.Store.Sync(); perr != nil {
-			w.cfg.Logf("fleet worker %s: syncing store: %v", w.cfg.Name, perr)
-		}
+	if w.cfg.Store != nil {
+		w.persistCell(g.Desc, res)
 	}
 	if err := w.cfg.Client.Complete(g.ID, res); err != nil {
 		w.cfg.Logf("fleet worker %s: completing %s: %v", w.cfg.Name, g.ID, err)
+	}
+}
+
+// persistCell writes a whole-axis job's assembled cell into the
+// worker's store; partial batches are skipped. Failures are logged, never
+// fatal: the coordinator persists the same cell from the completion.
+func (w *Worker) persistCell(d experiments.JobDesc, res experiments.ExternalResult) {
+	cell, ok, err := experiments.AssembleCell(d, res.Points)
+	if err != nil {
+		w.cfg.Logf("fleet worker %s: assembling %s: %v", w.cfg.Name, d, err)
+		return
+	}
+	if !ok {
+		return
+	}
+	rec := experiments.CellRecord(cell, d.Seed, store.Meta{Concurrency: 1, ElapsedNs: int64(res.Elapsed)})
+	if err := w.cfg.Store.Put(rec); err != nil {
+		w.cfg.Logf("fleet worker %s: persisting %s: %v", w.cfg.Name, d, err)
+	} else if err := w.cfg.Store.Sync(); err != nil {
+		w.cfg.Logf("fleet worker %s: syncing store: %v", w.cfg.Name, err)
 	}
 }
 

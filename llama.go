@@ -302,9 +302,6 @@ type ExperimentReport = experiments.Report
 // ReplicatedExperiment is one experiment aggregated across seeds.
 type ReplicatedExperiment = experiments.ReplicatedResult
 
-// ExperimentEngine is the concurrent multi-seed experiment executor.
-type ExperimentEngine = experiments.Engine
-
 // RunExperiment regenerates one paper artefact by ID (e.g. "fig16",
 // "tab1") with the given seed.
 func RunExperiment(ctx context.Context, id string, seed int64) (*ExperimentResult, error) {
@@ -312,11 +309,12 @@ func RunExperiment(ctx context.Context, id string, seed int64) (*ExperimentResul
 }
 
 // RunExperiments executes the selected experiments concurrently across
-// the configured seeds and worker pool. The zero Options value runs the
-// whole registry once with seed 1 at GOMAXPROCS workers; with ShardRows
-// set, each experiment's sweep additionally splits into per-row jobs so
-// even a single experiment saturates the pool. Results are bit-identical
-// to a serial run regardless of concurrency or sharding.
+// the configured seeds and worker pool, on a private scheduler. The zero
+// Options value runs the whole registry once with seed 1 at GOMAXPROCS
+// workers, each (experiment, seed) cell as one job spanning its sweep
+// axis; with ShardRows set, each axis splits into per-row jobs so even a
+// single experiment saturates the pool. Results are bit-identical to a
+// serial run regardless of concurrency or sharding.
 func RunExperiments(ctx context.Context, opts ExperimentOptions) (*ExperimentReport, error) {
 	return experiments.Execute(ctx, opts)
 }
