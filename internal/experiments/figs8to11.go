@@ -40,12 +40,11 @@ func s21Sweep(id, description, title string, design metasurface.Design) *Sweep {
 				return PointResult{}, err
 			}
 			f := freqs[i]
-			// One batched evaluation serves both polarizations: the Jones
-			// matrix at (f, 8 V, 8 V) is computed once and projected onto
-			// each axis (bit-identical to two EfficiencyDB calls,
-			// invariant #11).
-			m := surf.JonesBatch(metasurface.Transmissive,
-				[]metasurface.BatchPoint{{F: f, VX: 8, VY: 8}}, nil)[0]
+			// One Jones matrix at (f, 8 V, 8 V) serves both
+			// polarizations, projected onto each axis (bit-identical to
+			// two EfficiencyDB calls).
+			surf.SetBias(8, 8)
+			m := surf.JonesTransmissive(f)
 			return Row(f/1e9,
 				units.LinearToDB(metasurface.JonesEfficiency(m, metasurface.AxisX)),
 				units.LinearToDB(metasurface.JonesEfficiency(m, metasurface.AxisY))), nil
@@ -86,10 +85,9 @@ func fig11Sweep() *Sweep {
 				return PointResult{}, err
 			}
 			f := freqs[i]
-			// The whole Vy axis of this frequency resolves in one batched
-			// pass — one snapshot load and one grouped miss computation
-			// instead of seven scalar round-trips (bit-identical to the
-			// SetBias+EfficiencyDB loop, invariant #11).
+			// The whole Vy axis of this frequency resolves in one
+			// JonesBatch call, bit-identical to the SetBias+EfficiencyDB
+			// loop (invariant #11).
 			pts := make([]metasurface.BatchPoint, len(biases))
 			for j, vy := range biases {
 				pts[j] = metasurface.BatchPoint{F: f, VX: 8, VY: vy}

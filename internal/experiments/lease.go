@@ -54,14 +54,11 @@ type ExternalResult struct {
 // the same registry produces bit-identical output for the same desc.
 func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 	start := time.Now()
-	sw, err := lookupBatch(d)
+	sw, err := jobSweep(d)
 	if err != nil {
 		return ExternalResult{}, err
 	}
 	pts := make([]PointResult, d.Count)
-	if sw.Warm != nil {
-		sw.Warm(ctx, d.Seed, d.Point, d.Count)
-	}
 	for i := 0; i < d.Count; i++ {
 		if err := ctx.Err(); err != nil {
 			return ExternalResult{}, err
@@ -75,9 +72,9 @@ func ComputeJob(ctx context.Context, d JobDesc) (ExternalResult, error) {
 	return ExternalResult{Points: pts, Elapsed: time.Since(start)}, nil
 }
 
-// lookupBatch resolves d's sweep and checks that its batch lies on the
+// jobSweep resolves d's sweep and checks that its batch lies on the
 // axis.
-func lookupBatch(d JobDesc) (*Sweep, error) {
+func jobSweep(d JobDesc) (*Sweep, error) {
 	sw, ok := sweeps[d.ID]
 	if !ok {
 		return nil, fmt.Errorf("experiments: %s is not a registered sweep", d.ID)
@@ -95,7 +92,7 @@ func lookupBatch(d JobDesc) (*Sweep, error) {
 // job covering only part of the axis, which is no cell on its own; a
 // malformed batch (wrong length, wrong row arity) is an error.
 func AssembleCell(d JobDesc, pts []PointResult) (res *Result, ok bool, err error) {
-	sw, err := lookupBatch(d)
+	sw, err := jobSweep(d)
 	if err != nil {
 		return nil, false, err
 	}

@@ -574,12 +574,6 @@ func (sub *submission) execute(jb schedJob) {
 			cs = metasurface.GlobalCacheStats()
 		}
 		sl.started = time.Now()
-		if n == 0 && c.sweep.Warm != nil {
-			// Warm the whole batch inside the first point's stat-sampling
-			// window, so warming's cache traffic stays attributed to this
-			// batch (per-point counters still sum to the run totals).
-			c.sweep.Warm(sub.ctx, c.seed, jb.point, jb.count)
-		}
 		pt, err := c.sweep.Point(sub.ctx, c.seed, jb.point+n)
 		sl.elapsed = time.Since(sl.started)
 		if sub.trackCache {

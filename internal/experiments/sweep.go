@@ -37,16 +37,6 @@ type Sweep struct {
 	// over all rows). It runs exactly once, after every point, on the
 	// already-ordered rows — never concurrently. Optional.
 	Finish func(res *Result, seed int64) error
-	// Warm, when set, pre-populates memoization state for the batch of
-	// points [start, start+count) before they run — typically one
-	// Surface.Warm covering the batch's whole operating-point axis, so a
-	// cold process resolves the batch's misses in one grouped pass
-	// instead of one mutex round-trip per point. Warm MUST be
-	// bit-neutral: it may only populate the same caches the points
-	// themselves would populate, never alter an output (the sharded and
-	// serial paths call it at different batch granularities, and both
-	// must still reproduce the unwarmed tables bit-for-bit). Optional.
-	Warm func(ctx context.Context, seed int64, start, count int)
 }
 
 // PointResult is the output of one sweep point: the rows it contributes
@@ -156,9 +146,6 @@ func (s *Sweep) assemble(seed int64, pts []PointResult) (*Result, error) {
 // completed prefix.
 func (s *Sweep) runSerial(ctx context.Context, seed int64) (*Result, error) {
 	res := s.newResult()
-	if s.Warm != nil && s.Points > 0 {
-		s.Warm(ctx, seed, 0, s.Points)
-	}
 	for i := 0; i < s.Points; i++ {
 		if err := ctx.Err(); err != nil {
 			return res, err

@@ -1,6 +1,7 @@
 package metasurface
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -44,8 +45,8 @@ func scalarJones(s *Surface, mode Mode, p BatchPoint) mat2.Mat {
 // TestBatchMatchesScalarAllModes is determinism invariant #11: JonesBatch
 // must be bit-identical to the scalar SetBias+Jones loop with caching
 // on and off, and both must also match the uncached evaluation
-// (invariant #10 composed with #11). Run under -race this also certifies the grouped
-// miss path.
+// (invariant #10 composed with #11). A cold batch must also compute each
+// distinct response exactly once, in-batch duplicates included.
 func TestBatchMatchesScalarAllModes(t *testing.T) {
 	ResetResponseTables()
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
@@ -99,6 +100,26 @@ func TestBatchMatchesScalarAllModes(t *testing.T) {
 				}
 			}
 		}
+		// A cold batch misses exactly once per distinct (axis, f,
+		// clamped v) key and once per distinct f; every other lookup,
+		// in-batch duplicates included, is a hit.
+		axisKeys := make(map[axisKey]bool)
+		freqs := make(map[uint64]bool)
+		for _, p := range pts {
+			vx := units.Clamp(p.VX, d.MinBiasV, d.MaxBiasV)
+			vy := units.Clamp(p.VY, d.MinBiasV, d.MaxBiasV)
+			axisKeys[axisKey{axis: AxisX, f: math.Float64bits(p.F), v: math.Float64bits(vx)}] = true
+			axisKeys[axisKey{axis: AxisY, f: math.Float64bits(p.F), v: math.Float64bits(vy)}] = true
+			freqs[math.Float64bits(p.F)] = true
+		}
+		ResetResponseTables()
+		cold := MustNew(d)
+		cold.JonesBatch(Transmissive, pts, nil)
+		want := CacheStats{Misses: uint64(len(axisKeys) + len(freqs))}
+		want.Hits = uint64(3*len(pts)) - want.Misses
+		if st := cold.CacheStats(); st != want {
+			t.Fatalf("cold batch counted %+v, want %+v (one miss per distinct key)", st, want)
+		}
 	})
 	t.Run("disabled", func(t *testing.T) {
 		SetCaching(false)
@@ -125,44 +146,13 @@ func TestJonesBatchEmptyAndDst(t *testing.T) {
 	}
 }
 
-// TestWarmFillsTheTable: Warm must pre-resolve exactly the entries a
-// later scan needs, so the scan itself records zero misses — and it must
-// be bit-neutral, so the warmed scan equals the unwarmed reference.
-func TestWarmFillsTheTable(t *testing.T) {
-	ResetResponseTables()
-	d := OptimizedFR4Design(units.DefaultCarrierHz)
-	pts := batchTestPoints()
-
-	cold := MustNew(d)
-	want := cold.JonesBatch(Transmissive, pts, nil)
-
-	ResetResponseTables()
-	warmer := MustNew(d)
-	warmer.Warm(pts)
-	scan := MustNew(d)
-	got := scan.JonesBatch(Transmissive, pts, nil)
-	if st := scan.CacheStats(); st.Misses != 0 {
-		t.Fatalf("scan after Warm recorded %d misses, want 0", st.Misses)
-	}
-	for i := range pts {
-		if !sameMat(got[i], want[i]) {
-			t.Fatalf("point %d: warmed scan diverged from cold scan", i)
-		}
-	}
-	// Warming again is free: every entry already exists.
-	before := TableStats(d)
-	warmer.Warm(pts)
-	if after := TableStats(d); after.Misses != before.Misses {
-		t.Fatalf("repeat Warm computed %d new entries", after.Misses-before.Misses)
-	}
-}
-
 // TestSingleflightBoundsRedundantEvals hammers one snapMap with many
 // goroutines racing over the same fresh key set, all released together,
 // and asserts the singleflight grouping held: eval ran EXACTLY once per
 // distinct key — not once per goroutine — and every caller got the
-// computed value. Both the scalar and the batched lookup paths are
-// exercised against the same map. Run under -race.
+// computed value. Every worker walks the keys in its own order, and half
+// of them revisit keys they already looked up (the in-batch duplicates
+// of a JonesBatch). Run under -race.
 func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 	const workers = 16
 	const keys = 64
@@ -181,29 +171,21 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			if w%2 == 0 {
-				// Scalar path, each worker in a different key order.
-				for i := 0; i < keys; i++ {
-					k := (i*7 + w) % keys
-					if v, _ := m.lookup(k, func() int { return eval(k) }); v != k*31 {
-						errs <- "scalar lookup returned a wrong value"
-						return
-					}
-				}
-			} else {
-				// Batched path with in-batch duplicates.
-				ks := make([]int, 0, keys+8)
-				for i := 0; i < keys; i++ {
+			ks := make([]int, 0, keys+8)
+			for i := 0; i < keys; i++ {
+				if w%2 == 0 {
+					ks = append(ks, (i*7+w)%keys)
+				} else {
 					ks = append(ks, (keys-1-i+w)%keys)
 				}
-				ks = append(ks, ks[:8]...)
-				out := make([]int, len(ks))
-				m.lookupBatch(ks, out, eval)
-				for i, k := range ks {
-					if out[i] != k*31 {
-						errs <- "batched lookup returned a wrong value"
-						return
-					}
+			}
+			if w%2 == 1 {
+				ks = append(ks, ks[:8]...) // duplicates within one pass
+			}
+			for _, k := range ks {
+				if v, _ := m.lookup(k, func() int { return eval(k) }); v != k*31 {
+					errs <- "lookup returned a wrong value"
+					return
 				}
 			}
 		}(w)
@@ -226,10 +208,10 @@ func TestSingleflightBoundsRedundantEvals(t *testing.T) {
 // writers continuously inserting fresh keys (forcing copy-on-write
 // publishes mid-read) across several seeds and goroutine counts. Every
 // read must return the precomputed reference bits — a reader sees the
-// old snapshot or the new one, never a torn map — and the per-table,
-// global and per-view counters must account every lookup exactly (the
-// three views never under-count). Run under -race this is the
-// publication-safety certificate for the whole design.
+// old snapshot or the new one, never a torn map — and the global
+// counters must account every lookup exactly (the sharded view never
+// under-counts). Run under -race this is the publication-safety
+// certificate for the whole design.
 func TestSnapshotPublicationRace(t *testing.T) {
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
 	for _, seed := range []int64{1, 7} {
@@ -252,6 +234,7 @@ func TestSnapshotPublicationRace(t *testing.T) {
 				refs[i] = d.axisEval(hot[i].axis, hot[i].f, hot[i].v)
 			}
 
+			ResetGlobalCacheStats()
 			tbl := newResponseTable("race-test")
 			const rounds = 300
 			errs := make(chan string, readers)
@@ -299,8 +282,8 @@ func TestSnapshotPublicationRace(t *testing.T) {
 			for e := range errs {
 				t.Fatalf("seed %d readers %d: %s", seed, readers, e)
 			}
-			if st := tbl.stats(); st.Lookups() != lookups.Load() {
-				t.Fatalf("seed %d readers %d: table counted %d lookups, %d performed — views must never under-count",
+			if st := GlobalCacheStats(); st.Lookups() != lookups.Load() {
+				t.Fatalf("seed %d readers %d: global counters saw %d lookups, %d performed — views must never under-count",
 					seed, readers, st.Lookups(), lookups.Load())
 			}
 		}

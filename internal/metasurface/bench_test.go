@@ -1,8 +1,8 @@
 package metasurface
 
 // A/B benchmark of the contention-free read path. The snapshot table
-// answers warm lookups with one atomic load, one map read and two
-// sharded counter adds — no lock, no allocation — while the mutexTable
+// answers warm lookups with one atomic load, one map read and one
+// sharded counter add — no lock, no allocation — while the mutexTable
 // replica below reproduces the RWMutex+shared-counter design it
 // replaced. CI runs both with -cpu 1,8 and gates on the snapshot path
 // allocating nothing and clearing ≥2× the mutex throughput at 8
@@ -19,17 +19,23 @@ import (
 	"github.com/llama-surface/llama/internal/units"
 )
 
+// benchPoint is one per-axis operating point of the benchmark working set.
+type benchPoint struct {
+	axis Axis
+	f, v float64
+}
+
 // benchAxisKeys is the hot working set both tables are measured on:
 // enough keys to defeat trivial branch prediction, few enough to stay
 // cache-resident, the regime of a warm bias-plane scan.
-func benchAxisKeys() []axisPoint {
-	pts := make([]axisPoint, 64)
+func benchAxisKeys() []benchPoint {
+	pts := make([]benchPoint, 64)
 	for i := range pts {
 		axis := AxisX
 		if i%2 == 1 {
 			axis = AxisY
 		}
-		pts[i] = axisPoint{axis: axis, f: 2.0e9 + float64(i)*1.1e7, v: float64(i%31) + 0.25}
+		pts[i] = benchPoint{axis: axis, f: 2.0e9 + float64(i)*1.1e7, v: float64(i%31) + 0.25}
 	}
 	return pts
 }
@@ -122,22 +128,26 @@ func BenchmarkTableParallelMutex(b *testing.B) {
 	})
 }
 
-// BenchmarkTableBatchAxis measures the grouped batch resolution of a
-// whole warm axis (the per-row unit of JonesBatch) against the same
-// table, for comparison with 64 scalar lookups.
+// BenchmarkTableBatchAxis measures one warm axis of 64 lookups — the
+// per-row unit of JonesBatch, which loops the scalar axisAt — on one
+// goroutine against a published snapshot.
 func BenchmarkTableBatchAxis(b *testing.B) {
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
 	tbl := newResponseTable("bench-batch")
 	pts := benchAxisKeys()
-	out := make([]axisResponse, len(pts))
-	tbl.axisBatch(d, pts, out, 0)
+	for _, p := range pts {
+		tbl.axisAt(d, p.axis, p.f, p.v, 0)
+	}
 	tbl.axis.flush()
+	var r axisResponse
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.axisBatch(d, pts, out, 0)
+		for _, p := range pts {
+			r, _ = tbl.axisAt(d, p.axis, p.f, p.v, 0)
+		}
 	}
-	if out[0].s.Z0 == 0 {
+	if r.s.Z0 == 0 {
 		b.Fatal("degenerate response")
 	}
 }

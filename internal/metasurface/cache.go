@@ -24,9 +24,12 @@ package metasurface
 // and the race detector can prove the absence of torn reads. Concurrent
 // misses on the same key are grouped singleflight-style: exactly one
 // goroutine evaluates, the rest wait on its completion channel, so
-// redundant evaluation is bounded at one per distinct key. Counters are
-// sharded across cache-line-padded slots (statShard) so hit accounting
-// never bounces one hot line between cores.
+// redundant evaluation is bounded at one per distinct key. This is the
+// only lookup path: batched queries (batch.go) loop the same per-point
+// lookups. Each lookup counts in two views, the Surface that asked and
+// the process-wide total; the global counters are sharded across
+// cache-line-padded slots (statShard) so hit accounting never bounces
+// one hot line between cores.
 
 import (
 	"math"
@@ -92,9 +95,8 @@ type statShard struct {
 }
 
 // shardedStats is a pair of monotone counters spread over padded shards.
-// Adds touch one shard; loads sum all of them, so the three stat views
-// (per-surface, per-table, global) stay exact while the hot path never
-// serializes on a single counter word.
+// Adds touch one shard; loads sum all of them, so the global view stays
+// exact while the hot path never serializes on a single counter word.
 type shardedStats struct {
 	shards [statShards]statShard
 }
@@ -131,9 +133,9 @@ func (s *shardedStats) reset() {
 // globalStats aggregates lookups across every design table in the
 // process, so harnesses (llama-bench, the experiment engine) can report
 // cache effectiveness without plumbing individual surfaces out of
-// runners. Each lookup is counted exactly once here, once on its design
-// table, and once on the Surface that asked — three views of the same
-// event, never double-counted within a view.
+// runners. Each lookup is counted exactly once here and once on the
+// Surface that asked — two views of the same event, never double-counted
+// within a view.
 var globalStats shardedStats
 
 // shardSeq deals out counter-shard slots round-robin at Surface
@@ -259,103 +261,6 @@ func (m *snapMap[K, V]) lookup(k K, eval func() V) (V, bool) {
 	return c.val, false
 }
 
-// lookupBatch resolves every key against one snapshot load, then
-// handles all misses in one grouped pass under a single mutex
-// acquisition: still-missing keys are deduplicated, registered in
-// flight, and evaluated outside the lock; keys another goroutine is
-// already computing are joined, not recomputed. out must have len(keys)
-// slots. eval runs at most once per distinct missing key, and the
-// returned counters follow the scalar convention: misses counts
-// evaluations this call ran, everything else is a hit.
-func (m *snapMap[K, V]) lookupBatch(keys []K, out []V, eval func(K) V) (hits, misses uint64) {
-	snap := *m.snap.Load()
-	var missing []int
-	for i, k := range keys {
-		if v, ok := snap[k]; ok {
-			out[i] = v
-			hits++
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return hits, 0
-	}
-	var (
-		mine    []K         // distinct keys this call computes, in first-seen order
-		mineIdx map[K][]int // key → out positions awaiting it
-		waits   []*flightCall[V]
-		waitIdx []int
-	)
-	m.mu.Lock()
-	// No publish can happen while mu is held, so the re-loaded snapshot
-	// and pending are stable for the whole grouping pass.
-	snap = *m.snap.Load()
-	for _, i := range missing {
-		k := keys[i]
-		if v, ok := snap[k]; ok {
-			out[i] = v
-			hits++
-			continue
-		}
-		if v, ok := m.pending[k]; ok {
-			out[i] = v
-			hits++
-			continue
-		}
-		if c, ok := m.flight[k]; ok {
-			waits = append(waits, c)
-			waitIdx = append(waitIdx, i)
-			hits++
-			continue
-		}
-		if _, ok := mineIdx[k]; ok { // duplicate within this batch
-			mineIdx[k] = append(mineIdx[k], i)
-			hits++
-			continue
-		}
-		if mineIdx == nil {
-			mineIdx = make(map[K][]int)
-		}
-		c := &flightCall[V]{done: make(chan struct{})}
-		m.flight[k] = c
-		mine = append(mine, k)
-		mineIdx[k] = []int{i}
-		misses++
-	}
-	m.mu.Unlock()
-	if len(mine) > 0 {
-		vals := make([]V, len(mine))
-		for j, k := range mine {
-			vals[j] = eval(k)
-		}
-		closes := make([]*flightCall[V], len(mine))
-		m.mu.Lock()
-		for j, k := range mine {
-			c := m.flight[k]
-			c.val = vals[j]
-			closes[j] = c
-			delete(m.flight, k)
-			m.pending[k] = vals[j]
-		}
-		m.maybePublishLocked()
-		m.mu.Unlock()
-		for _, c := range closes {
-			close(c.done)
-		}
-		for j, k := range mine {
-			for _, i := range mineIdx[k] {
-				out[i] = vals[j]
-			}
-		}
-	}
-	for wi, c := range waits {
-		<-c.done
-		out[waitIdx[wi]] = c.val
-	}
-	return hits, misses
-}
-
 // lockedHit records a lookup that had to take the mutex to find its
 // answer (pending, or a snapshot republished since the fast probe).
 // Accumulating lock-path hits mean the pending entries are hot, so they
@@ -467,8 +372,6 @@ type responseTable struct {
 
 	axis *snapMap[axisKey, axisResponse]
 	qwp  *snapMap[uint64, qwpResponse]
-
-	counters shardedStats
 }
 
 // newResponseTable returns an empty table for one design fingerprint.
@@ -480,39 +383,28 @@ func newResponseTable(fp string) *responseTable {
 	}
 }
 
-// stats sums the table's sharded counters.
-func (t *responseTable) stats() CacheStats { return t.counters.load() }
-
-// count folds one lookup outcome into the table's and the global
-// sharded counters on the caller's shard slot.
-func (t *responseTable) count(shard uint32, hit bool) {
+// countGlobal folds one lookup outcome into the global sharded counters
+// on the caller's shard slot.
+func countGlobal(shard uint32, hit bool) {
 	if hit {
-		t.counters.add(shard, 1, 0)
 		globalStats.add(shard, 1, 0)
 	} else {
-		t.counters.add(shard, 0, 1)
 		globalStats.add(shard, 0, 1)
 	}
 }
 
-// countBatch folds a batched lookup's outcome counters in one add per view.
-func (t *responseTable) countBatch(shard uint32, hits, misses uint64) {
-	t.counters.add(shard, hits, misses)
-	globalStats.add(shard, hits, misses)
-}
-
 // axisAt returns the memoized per-axis response, computing and storing
 // it on first use, and reports whether it was a hit. shard selects the
-// caller's counter slot. The hit path is one snapshot probe plus two
-// sharded counter adds — no lock, no allocation.
+// caller's counter slot. The hit path is one snapshot probe plus one
+// sharded counter add — no lock, no allocation.
 func (t *responseTable) axisAt(d Design, axis Axis, f, v float64, shard uint32) (axisResponse, bool) {
 	key := axisKey{axis: axis, f: math.Float64bits(f), v: math.Float64bits(v)}
 	if r, ok := t.axis.get(key); ok {
-		t.count(shard, true)
+		countGlobal(shard, true)
 		return r, true
 	}
 	r, hit := t.axis.lookup(key, func() axisResponse { return d.axisEval(axis, f, v) })
-	t.count(shard, hit)
+	countGlobal(shard, hit)
 	return r, hit
 }
 
@@ -522,48 +414,10 @@ func (t *responseTable) axisAt(d Design, axis Axis, f, v float64, shard uint32) 
 func (t *responseTable) qwpAt(d Design, f float64, shard uint32) (qwpResponse, bool) {
 	key := math.Float64bits(f)
 	if r, ok := t.qwp.get(key); ok {
-		t.count(shard, true)
+		countGlobal(shard, true)
 		return r, true
 	}
 	r, hit := t.qwp.lookup(key, func() qwpResponse { return d.qwpEval(f) })
-	t.count(shard, hit)
+	countGlobal(shard, hit)
 	return r, hit
-}
-
-// axisPoint is one per-axis operating point of a batched lookup.
-type axisPoint struct {
-	axis Axis
-	f, v float64
-}
-
-// axisBatch resolves a whole slice of per-axis operating points against
-// one snapshot load, computing all misses in one grouped singleflight
-// pass (see snapMap.lookupBatch). out must have len(pts) slots. The
-// returned counters follow the scalar convention (misses = evaluations
-// this call ran) and are already folded into the table and global views.
-func (t *responseTable) axisBatch(d Design, pts []axisPoint, out []axisResponse, shard uint32) (hits, misses uint64) {
-	keys := make([]axisKey, len(pts))
-	for i, p := range pts {
-		keys[i] = axisKey{axis: p.axis, f: math.Float64bits(p.f), v: math.Float64bits(p.v)}
-	}
-	hits, misses = t.axis.lookupBatch(keys, out, func(k axisKey) axisResponse {
-		return d.axisEval(k.axis, math.Float64frombits(k.f), math.Float64frombits(k.v))
-	})
-	t.countBatch(shard, hits, misses)
-	return hits, misses
-}
-
-// qwpBatch resolves the QWP responses of a whole frequency slice against
-// one snapshot load, grouping misses like axisBatch. out must have
-// len(freqs) slots.
-func (t *responseTable) qwpBatch(d Design, freqs []float64, out []qwpResponse, shard uint32) (hits, misses uint64) {
-	keys := make([]uint64, len(freqs))
-	for i, f := range freqs {
-		keys[i] = math.Float64bits(f)
-	}
-	hits, misses = t.qwp.lookupBatch(keys, out, func(k uint64) qwpResponse {
-		return d.qwpEval(math.Float64frombits(k))
-	})
-	t.countBatch(shard, hits, misses)
-	return hits, misses
 }

@@ -33,10 +33,10 @@ type Surface struct {
 
 	// hits, misses count this surface's own lookups against the shared
 	// table, so per-surface attribution survives sharing: the sum over
-	// all surfaces of a design equals the design table's counters.
+	// all surfaces equals the global counters' window.
 	hits, misses atomic.Uint64
 
-	// shard is this surface's slot in the sharded table/global counters
+	// shard is this surface's slot in the sharded global counters
 	// (cache.go), dealt round-robin at construction so concurrently hot
 	// surfaces never bounce one counter cache line between cores.
 	shard uint32
@@ -91,16 +91,6 @@ func (s *Surface) String() string {
 // caching is enabled (SetCaching).
 func (s *Surface) CacheStats() CacheStats {
 	return CacheStats{Hits: s.hits.Load(), Misses: s.misses.Load()}
-}
-
-// TableStats returns the counters of the design-wide shared table this
-// surface resolves against: its own lookups plus every sibling
-// surface's. Zero for a zero-value Surface.
-func (s *Surface) TableStats() CacheStats {
-	if s.table == nil {
-		return CacheStats{}
-	}
-	return s.table.stats()
 }
 
 // axisResponse is the complete per-axis physics evaluation: the front-
@@ -353,10 +343,10 @@ func (s *Surface) AxisTransmission(axis Axis, f, v float64) complex128 {
 }
 
 // jonesTransmissiveFrom assembles Eq. (8)'s Q₊₄₅·B·Q₋₄₅ from resolved
-// responses. The scalar and batched paths both assemble through exactly
-// this function, which is what makes batched ≡ scalar bit-identity
-// (determinism invariant #11) hold by construction rather than by test
-// alone.
+// responses. The scalar queries and JonesBatch both assemble through
+// exactly this function, which is what makes batched ≡ scalar
+// bit-identity (determinism invariant #11) hold by construction rather
+// than by test alone.
 func jonesTransmissiveFrom(xr, yr axisResponse, q qwpResponse) mat2.Mat {
 	bfs := mat2.Diag(xr.s.S21, yr.s.S21)
 	return q.plus.Mul(bfs).Mul(q.minus)
@@ -403,8 +393,8 @@ func (s *Surface) JonesReflective(f float64) mat2.Mat {
 }
 
 // jonesReflectiveFrom assembles the reflective-mode Jones matrix from
-// resolved responses — the shared assembly of the scalar and batched
-// paths (see jonesTransmissiveFrom).
+// resolved responses — the shared assembly of the scalar queries and
+// JonesBatch (see jonesTransmissiveFrom).
 func jonesReflectiveFrom(xr, yr axisResponse, q qwpResponse) mat2.Mat {
 	inner := mat2.Diag(xr.shortGamma, yr.shortGamma)
 	round := q.minus.Transpose().Mul(inner).Mul(q.minus)

@@ -1,9 +1,9 @@
 package metasurface
 
 // Contracts of the design-keyed response-table registry: fingerprint
-// canonicalization, cross-surface sharing, three-view counter
-// attribution (per surface / per design table / global), and the
-// lossless export/import round trip that backs persistence.
+// canonicalization, cross-surface sharing, two-view counter attribution
+// (per surface / global), and the lossless export/import round trip
+// that backs persistence.
 
 import (
 	"reflect"
@@ -89,12 +89,11 @@ func TestSharedTableCrossSurface(t *testing.T) {
 	}
 }
 
-// TestTableStatsThreeViews: per-surface, per-design-table and global
-// counters must agree — each lookup counts exactly once in each view,
-// and the sum over a design's surfaces equals its table's counters.
-// The windowed (Sub) form is what the engine's single-worker
-// attribution relies on.
-func TestTableStatsThreeViews(t *testing.T) {
+// TestCacheStatsTwoViews: per-surface and global counters must agree —
+// each lookup counts exactly once in each view, and the sum over the
+// surfaces equals the global window. The windowed (Sub) form is what
+// the engine's single-worker attribution relies on.
+func TestCacheStatsTwoViews(t *testing.T) {
 	ResetResponseTables()
 	before := GlobalCacheStats()
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
@@ -110,21 +109,14 @@ func TestTableStatsThreeViews(t *testing.T) {
 
 	sa, sb := a.CacheStats(), b.CacheStats()
 	sum := CacheStats{Hits: sa.Hits + sb.Hits, Misses: sa.Misses + sb.Misses}
-	table := TableStats(d)
 	global := GlobalCacheStats().Sub(before)
-	if sum != table {
-		t.Errorf("sum of surfaces %+v != design table %+v", sum, table)
-	}
-	if table != global {
-		t.Errorf("design table %+v != global window %+v (single design in window)", table, global)
-	}
-	if s := a.TableStats(); s != table {
-		t.Errorf("Surface.TableStats %+v != TableStats(design) %+v", s, table)
+	if sum != global {
+		t.Errorf("sum of surfaces %+v != global window %+v", sum, global)
 	}
 	// Pin the arithmetic so the no-double-count claim is concrete:
 	// a misses 3; b hits X+QWP (2), misses Y (1); b's repeat hits 3.
-	if want := (CacheStats{Hits: 5, Misses: 4}); table != want {
-		t.Errorf("table counters %+v, want %+v", table, want)
+	if want := (CacheStats{Hits: 5, Misses: 4}); global != want {
+		t.Errorf("global window %+v, want %+v", global, want)
 	}
 }
 

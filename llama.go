@@ -135,12 +135,12 @@ func BuildSurface(d Design) (*Surface, error) {
 	return metasurface.New(d)
 }
 
-// CacheStats reports response-table hit/miss counters in three views:
-// per surface via Surface.CacheStats, per design via Surface.TableStats,
-// process-wide via GlobalCacheStats. Response tables are keyed by a
-// fingerprint of the design's physical parameters and shared by every
-// surface of that design, so one surface's computation is every
-// sibling's hit.
+// CacheStats reports response-table hit/miss counters in two views:
+// per surface via Surface.CacheStats and process-wide via
+// GlobalCacheStats; each lookup counts once in each. Response tables
+// are keyed by a fingerprint of the design's physical parameters and
+// shared by every surface of that design, so one surface's computation
+// is every sibling's hit.
 type CacheStats = metasurface.CacheStats
 
 // SetCaching switches the shared response tables on or off process-wide
