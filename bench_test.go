@@ -368,6 +368,10 @@ func BenchmarkCoarseToFineAlgorithm(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignCalibration times a CalibrateLoadPitch memo hit: the
+// first call of the process pays the bisection, every later call with
+// the same design and arguments returns the memoized pitch. The cold
+// bisection is BenchmarkCalibrateLoadPitchCold in internal/metasurface.
 func BenchmarkDesignCalibration(b *testing.B) {
 	d := OptimizedFR4(DefaultCarrierHz)
 	b.ResetTimer()

@@ -25,6 +25,7 @@ package metasurface
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/llama-surface/llama/internal/materials"
 	"github.com/llama-surface/llama/internal/units"
@@ -162,6 +163,11 @@ func (d Design) Validate() error {
 	if err := d.Diode.Validate(); err != nil {
 		return fmt.Errorf("metasurface: %s: %w", d.Name, err)
 	}
+	for _, f := range d.numericFields() {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("metasurface: %s: non-finite %s %g", d.Name, f.name, f.v)
+		}
+	}
 	switch {
 	case d.CenterHz <= 0:
 		return fmt.Errorf("metasurface: %s: non-positive center frequency", d.Name)
@@ -199,6 +205,52 @@ func (d Design) Validate() error {
 		return fmt.Errorf("metasurface: %s: invalid bias range [%g,%g]", d.Name, d.MinBiasV, d.MaxBiasV)
 	}
 	return nil
+}
+
+// numericField names one float parameter of a design for Validate.
+type numericField struct {
+	name string
+	v    float64
+}
+
+// numericFields lists every float parameter of the design, its
+// substrate and its varactor model. The range checks in Validate are
+// written as comparisons that NaN passes, so Validate first rejects any
+// non-finite value here. An array, not a slice, so Validate allocates
+// nothing.
+func (d Design) numericFields() [30]numericField {
+	return [...]numericField{
+		{"substrate εr", d.Substrate.EpsilonR},
+		{"substrate loss tangent", d.Substrate.LossTangent},
+		{"substrate cost", d.Substrate.CostPerM2PerLayer},
+		{"diode C0", d.Diode.C0},
+		{"diode Vj", d.Diode.Vj},
+		{"diode grading coefficient", d.Diode.M},
+		{"diode Cp", d.Diode.Cp},
+		{"diode Rs", d.Diode.Rs},
+		{"diode Ls", d.Diode.Ls},
+		{"diode leakage", d.Diode.LeakageA},
+		{"diode min bias", d.Diode.MinBias},
+		{"diode max bias", d.Diode.MaxBias},
+		{"center frequency", d.CenterHz},
+		{"pattern index", d.PatternIndex},
+		{"QWP thickness", d.QWPLayerThickness},
+		{"QWP path", d.QWPPath},
+		{"QWP concentration", d.QWPConcentration},
+		{"QWP mismatch", d.QWPMismatch},
+		{"QWP selectivity", d.QWPSelectivity},
+		{"BFS thickness", d.BFSLayerThickness},
+		{"BFS path", d.BFSPath},
+		{"BFS concentration", d.BFSConcentration},
+		{"load pitch", d.LoadPitch},
+		{"BFS selectivity", d.BFSSelectivity},
+		{"BFS resonance bias", d.BFSResonanceBias},
+		{"X bias offset", d.BiasOffsetX},
+		{"unit size", d.UnitSize},
+		{"varactor unit cost", d.VaractorUnitCost},
+		{"min bias", d.MinBiasV},
+		{"max bias", d.MaxBiasV},
+	}
 }
 
 // Units returns the total functional unit count.
@@ -311,6 +363,30 @@ func Rogers5880Design(centerHz float64) Design {
 	return d
 }
 
+// calibrationKey identifies one calibration: the design's physics with
+// LoadPitch zeroed (the bisection overwrites it, and labels never enter
+// the fingerprint) plus the exact bits of target, vLo and vHi.
+type calibrationKey struct {
+	design           string
+	target, vLo, vHi uint64
+}
+
+// calibrationKey returns the memo key of one calibration of d.
+func (d Design) calibrationKey(target, vLo, vHi float64) calibrationKey {
+	d.LoadPitch = 0
+	return calibrationKey{
+		design: DesignFingerprint(d),
+		target: math.Float64bits(target),
+		vLo:    math.Float64bits(vLo),
+		vHi:    math.Float64bits(vHi),
+	}
+}
+
+// calibrations memoizes CalibrateLoadPitch for the life of the process.
+// It is not a response table: SetCaching does not bypass it and nothing
+// persists it, because it holds results of a pure function of its key.
+var calibrations sync.Map // calibrationKey → float64
+
 // CalibrateLoadPitch searches for the varactor loading pitch that makes
 // the BFS transmission-phase swing between bias vLo and vHi equal target
 // radians at the design center frequency. The paper's Table 1 corner
@@ -320,10 +396,31 @@ func Rogers5880Design(centerHz float64) Design {
 // bias, so tank contributions are included. The returned pitch is found
 // by bisection; the search is monotone because heavier loading (smaller
 // pitch) always increases phase swing.
+//
+// The result is a pure function of the design's physics and the three
+// arguments, so each distinct calibration runs once per process and
+// later calls return the memoized pitch. It panics unless target is
+// positive and finite and vLo, vHi are finite.
 func (d Design) CalibrateLoadPitch(target float64, vLo, vHi float64) float64 {
-	if target <= 0 {
-		panic("metasurface: non-positive calibration target")
+	if !(target > 0) || math.IsInf(target, 0) {
+		panic("metasurface: calibration target must be positive and finite")
 	}
+	if math.IsNaN(vLo) || math.IsInf(vLo, 0) || math.IsNaN(vHi) || math.IsInf(vHi, 0) {
+		panic("metasurface: non-finite calibration bias")
+	}
+	key := d.calibrationKey(target, vLo, vHi)
+	if pitch, ok := calibrations.Load(key); ok {
+		return pitch.(float64)
+	}
+	// No singleflight: concurrent misses on one key compute the same
+	// bits, and the first store wins.
+	pitch, _ := calibrations.LoadOrStore(key, d.calibrateLoadPitch(target, vLo, vHi))
+	return pitch.(float64)
+}
+
+// calibrateLoadPitch is CalibrateLoadPitch's unmemoized geometric
+// bisection.
+func (d Design) calibrateLoadPitch(target float64, vLo, vHi float64) float64 {
 	swing := func(pitch float64) float64 {
 		trial := d
 		trial.LoadPitch = pitch
@@ -338,11 +435,17 @@ func (d Design) CalibrateLoadPitch(target float64, vLo, vHi float64) float64 {
 		return loPitch
 	}
 	for i := 0; i < 80; i++ {
+		lo, hi := loPitch, hiPitch
 		mid := math.Sqrt(loPitch * hiPitch) // geometric bisection
 		if swing(mid) > target {
 			loPitch = mid
 		} else {
 			hiPitch = mid
+		}
+		// Each step is a pure function of (loPitch, hiPitch): once one
+		// leaves both unchanged, so does every later step.
+		if loPitch == lo && hiPitch == hi {
+			break
 		}
 	}
 	return math.Sqrt(loPitch * hiPitch)

@@ -1,8 +1,11 @@
 package metasurface
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/llama-surface/llama/internal/jones"
@@ -65,6 +68,50 @@ func TestValidateRejectsBadDesigns(t *testing.T) {
 		}
 		if _, err := New(d); err == nil {
 			t.Errorf("mutation %d: New accepted invalid design", i)
+		}
+	}
+}
+
+// TestValidateRejectsNonFinite sets every float64 field of a design,
+// its substrate and its diode — found by reflection, so a field added
+// later is covered too — to NaN and ±Inf in turn. The range checks in
+// Validate are comparisons NaN slips through, so each must be caught by
+// the finiteness check instead.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	base := OptimizedFR4Design(units.DefaultCarrierHz)
+	var fields []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Struct:
+				walk(prefix+f.Name+".", f.Type)
+			case reflect.Float64:
+				fields = append(fields, prefix+f.Name)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(base))
+	if len(fields) != len(base.numericFields()) {
+		t.Errorf("Design has %d float64 fields, numericFields lists %d", len(fields), len(base.numericFields()))
+	}
+	for _, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s=%g", field, bad), func(t *testing.T) {
+				d := base
+				v := reflect.ValueOf(&d).Elem()
+				for _, name := range strings.Split(field, ".") {
+					v = v.FieldByName(name)
+				}
+				v.SetFloat(bad)
+				if err := d.Validate(); err == nil {
+					t.Fatal("non-finite field accepted")
+				}
+				if _, err := New(d); err == nil {
+					t.Fatal("New accepted a non-finite field")
+				}
+			})
 		}
 	}
 }
@@ -406,12 +453,30 @@ func TestCalibrateLoadPitchMonotone(t *testing.T) {
 }
 
 func TestCalibrateLoadPitchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive target should panic")
-		}
-	}()
-	OptimizedFR4Design(units.DefaultCarrierHz).CalibrateLoadPitch(0, 2, 15)
+	d := OptimizedFR4Design(units.DefaultCarrierHz)
+	target := units.Radians(97)
+	for _, c := range []struct {
+		name             string
+		target, vLo, vHi float64
+	}{
+		{"zero target", 0, 2, 15},
+		{"negative target", -1, 2, 15},
+		{"NaN target", math.NaN(), 2, 15},
+		{"+Inf target", math.Inf(1), 2, 15},
+		{"NaN vLo", target, math.NaN(), 15},
+		{"NaN vHi", target, 2, math.NaN()},
+		{"-Inf vLo", target, math.Inf(-1), 15},
+		{"+Inf vHi", target, 2, math.Inf(1)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("calibration should panic")
+				}
+			}()
+			d.CalibrateLoadPitch(c.target, c.vLo, c.vHi)
+		})
+	}
 }
 
 func TestEffectiveMinBias(t *testing.T) {

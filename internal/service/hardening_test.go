@@ -60,6 +60,9 @@ func newServerCfg(t *testing.T, dir string, cfg service.Config) (*service.Server
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: stop the listener, then drain the
+	// server so no run-record write races the removal of dir.
+	t.Cleanup(func() { drain(t, svc) })
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
 	return svc, ts

@@ -48,6 +48,17 @@ func init() {
 	})
 }
 
+// drain shuts svc down at the end of a test, waiting for every run's
+// terminal record to reach the store. Shutdown is idempotent, so tests
+// that drain explicitly are unaffected.
+func drain(t *testing.T, svc *service.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Errorf("draining the server: %v", err)
+	}
+}
+
 // newServer opens a store-backed service over dir and wires it to an
 // httptest server.
 func newServer(t *testing.T, dir string, workers int) (*service.Server, *httptest.Server) {
@@ -60,6 +71,9 @@ func newServer(t *testing.T, dir string, workers int) (*service.Server, *httptes
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: stop the listener, then drain the
+	// server so no run-record write races the removal of dir.
+	t.Cleanup(func() { drain(t, svc) })
 	ts := httptest.NewServer(svc)
 	t.Cleanup(ts.Close)
 	return svc, ts
