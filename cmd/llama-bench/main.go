@@ -15,6 +15,7 @@
 //	llama-bench -store DIR            persist every (experiment, seed) table into DIR
 //	llama-bench -store DIR -resume    reuse stored cells; only missing seeds recompute
 //	llama-bench -timeout 30s          bound the whole run
+//	llama-bench -cpuprofile cpu.pprof write a CPU profile (-memprofile: heap profile at exit)
 //
 // With -store DIR the run also warm-starts from (and re-persists) the
 // per-design response tables under DIR/tables, so repeated invocations
@@ -32,9 +33,17 @@ import (
 
 	"github.com/llama-surface/llama/internal/experiments"
 	"github.com/llama-surface/llama/internal/metasurface"
+	"github.com/llama-surface/llama/internal/profile"
 )
 
 func main() {
+	if err := runCLI(); err != nil {
+		fmt.Fprintln(os.Stderr, "llama-bench:", err)
+		os.Exit(1)
+	}
+}
+
+func runCLI() (err error) {
 	var (
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		run      = flag.String("run", "", "run a single experiment by ID")
@@ -49,6 +58,8 @@ func main() {
 		resume   = flag.Bool("resume", false, "reuse valid stored cells from -store instead of recomputing them; missing, corrupt or schema-drifted records are recomputed and re-persisted (requires -store; output is bit-identical to a fresh run)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
 		format   = flag.String("format", "text", "output format: text, csv or json")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile to this file when the run ends")
 	)
 	flag.Parse()
 	metasurface.SetCaching(*cache)
@@ -56,7 +67,7 @@ func main() {
 		*shard = true
 	}
 	if *resume && *storeDir == "" {
-		fatal(fmt.Errorf("-resume requires -store DIR"))
+		return fmt.Errorf("-resume requires -store DIR")
 	}
 
 	switch *format {
@@ -64,8 +75,18 @@ func main() {
 	default:
 		// Catch this before computing a full run only to fail at the
 		// first emit.
-		fatal(fmt.Errorf("unknown format %q (want text, csv or json)", *format))
+		return fmt.Errorf("unknown format %q (want text, csv or json)", *format)
 	}
+
+	stop, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if stopErr := stop(); err == nil {
+			err = stopErr
+		}
+	}()
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -81,10 +102,10 @@ func main() {
 		}
 	default:
 		if !*all && *run == "" && flag.NArg() > 0 {
-			fatal(fmt.Errorf("unknown arguments %v; use -list, -run or -all", flag.Args()))
+			return fmt.Errorf("unknown arguments %v; use -list, -run or -all", flag.Args())
 		}
 		if *seeds < 1 {
-			fatal(fmt.Errorf("-seeds %d: need at least one seed", *seeds))
+			return fmt.Errorf("-seeds %d: need at least one seed", *seeds)
 		}
 		opts := experiments.Options{Concurrency: 1, ShardRows: *shard, BatchRows: *batch, StoreDir: *storeDir, Resume: *resume}
 		if *parallel || *shard {
@@ -100,7 +121,7 @@ func main() {
 		}
 		rep, runErr := experiments.Execute(ctx, opts)
 		if rep == nil {
-			fatal(runErr)
+			return runErr
 		}
 		// Emit whatever completed even when the run failed, so a late
 		// failure doesn't throw away computed tables; then report which
@@ -109,18 +130,14 @@ func main() {
 		// for identical specs (determinism invariant 7).
 		emitErr := rep.WriteTables(os.Stdout, *format)
 		if err := rep.Render(os.Stderr); err != nil {
-			fatal(err)
+			return err
 		}
 		if runErr != nil {
-			fatal(runErr)
+			return runErr
 		}
 		if emitErr != nil {
-			fatal(emitErr)
+			return emitErr
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "llama-bench:", err)
-	os.Exit(1)
+	return nil
 }

@@ -73,6 +73,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// validate rejects the fields withDefaults leaves out of range; the
+// design and scene validate themselves.
+func (c Config) validate() error {
+	switch {
+	case c.SamplesPerMeasure < 0:
+		return fmt.Errorf("core: SamplesPerMeasure %d is negative", c.SamplesPerMeasure)
+	case c.SwitchPeriod < 0:
+		return fmt.Errorf("core: SwitchPeriod %v is negative", c.SwitchPeriod)
+	}
+	return nil
+}
+
 // System is the in-process closed loop.
 type System struct {
 	// Clock is the shared virtual timeline.
@@ -88,12 +100,14 @@ type System struct {
 	cfg  Config
 	tone *signal.ToneSource
 	rng  *rand.Rand
-	buf  []complex128
 }
 
 // NewSystem builds and validates the closed loop.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	surf, err := metasurface.New(cfg.Design)
 	if err != nil {
 		return nil, err
@@ -121,7 +135,6 @@ func NewSystem(cfg Config) (*System, error) {
 		cfg:     cfg,
 		tone:    signal.NewToneSource(500e3, 1e6, 1),
 		rng:     simclock.RNG(cfg.Seed, "core.rssi"),
-		buf:     make([]complex128, cfg.SamplesPerMeasure),
 	}, nil
 }
 
@@ -158,15 +171,12 @@ func (s *System) Actuator() control.Actuator {
 
 // MeasureRSSI simulates one receiver measurement at the current virtual
 // time: a block of the transmitted tone through the scene's field
-// transfer, plus thermal noise, through the block power estimator.
+// transfer, plus thermal noise, through the block power estimator. The
+// block is never materialized; see signal.ToneSource.ReceivedPower.
 func (s *System) MeasureRSSI() float64 {
-	h := s.Scene.FieldTransfer()
-	s.tone.Fill(s.buf)
 	// Field scaling: per-sample amplitude carries sqrt(TxPower)·h.
-	amp := complex(sqrt(s.Scene.TxPowerW), 0) * h
-	signal.Scale(s.buf, amp)
-	signal.AddAWGN(s.buf, s.Scene.NoisePowerW(), s.rng)
-	return signal.PowerDBm(s.buf)
+	amp := complex(sqrt(s.Scene.TxPowerW), 0) * s.Scene.FieldTransfer()
+	return units.WattsToDBm(s.tone.ReceivedPower(s.cfg.SamplesPerMeasure, amp, s.Scene.NoisePowerW(), s.rng))
 }
 
 // Sensor returns the control-side measurement source.

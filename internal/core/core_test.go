@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -28,15 +30,26 @@ func TestNewSystemDefaults(t *testing.T) {
 }
 
 func TestNewSystemRejectsBadConfig(t *testing.T) {
-	bad := Config{Seed: 1}
-	bad.Design = metasurface.OptimizedFR4Design(2.44e9)
-	bad.Design.BFSLayers = 0
-	if _, err := NewSystem(bad); err == nil {
-		t.Error("invalid design accepted")
-	}
-	geomBad := Config{Seed: 1, Geom: channel.Geometry{TxRx: -1, TxSurface: 1, SurfaceRx: 1}}
-	if _, err := NewSystem(geomBad); err == nil {
-		t.Error("invalid geometry accepted")
+	badDesign := metasurface.OptimizedFR4Design(2.44e9)
+	badDesign.BFSLayers = 0
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string // substring the error must carry; "" = any error
+	}{
+		{"design", Config{Seed: 1, Design: badDesign}, ""},
+		{"geometry", Config{Seed: 1, Geom: channel.Geometry{TxRx: -1, TxSurface: 1, SurfaceRx: 1}}, ""},
+		{"samples", Config{Seed: 1, SamplesPerMeasure: -1}, "SamplesPerMeasure"},
+		{"switch period", Config{Seed: 1, SwitchPeriod: -time.Millisecond}, "SwitchPeriod"},
+	} {
+		_, err := NewSystem(c.cfg)
+		if err == nil {
+			t.Errorf("%s: invalid config accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.want)
+		}
 	}
 }
 
@@ -108,6 +121,67 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	// the final apply).
 	if el := res.Elapsed(sys.Config().SwitchPeriod); el < time.Second || el > 1200*time.Millisecond {
 		t.Errorf("sweep took %v of virtual time, want ≈1 s", el)
+	}
+}
+
+// TestOptimizePinnedBits pins every bit of one seeded transmissive and
+// one reflective Algorithm 1 run: best bias, best power, switch count and
+// a digest of the full measurement history. Any change to the measurement
+// path that is not bit-identical — tone synthesis, noise draws, summation
+// order — moves them.
+func TestOptimizePinnedBits(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		cfg           Config
+		vx, vy, best  uint64
+		switches      int
+		samples       int
+		historyDigest string
+	}{
+		{"transmissive", Config{Seed: 11},
+			0x3ff3333333333333, 0x4039333333333333, 0xc0234645dd86e7ec, 51, 50, "5a004361208dd0f0"},
+		{"reflective", Config{Seed: 12, Mode: metasurface.Reflective,
+			Geom: channel.Geometry{TxRx: 0.70, TxSurface: 0.36, SurfaceRx: 0.36}},
+			0x4033333333333333, 0x4020cccccccccccd, 0xc027af1f994a2674, 51, 50, "c504361effc0cb0b"},
+	} {
+		sys, err := NewSystem(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Optimize(context.Background(), control.DefaultSweepConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, s := range res.Samples {
+			fmt.Fprintf(h, "%016x %016x %016x\n", math.Float64bits(s.Vx), math.Float64bits(s.Vy), math.Float64bits(s.PowerDBm))
+		}
+		got := fmt.Sprintf("%#016x %#016x %#016x %d %d %x", math.Float64bits(res.BestVx), math.Float64bits(res.BestVy),
+			math.Float64bits(res.BestPowerDBm), res.Switches, len(res.Samples), h.Sum(nil)[:8])
+		want := fmt.Sprintf("%#016x %#016x %#016x %d %d %s", c.vx, c.vy, c.best, c.switches, c.samples, c.historyDigest)
+		if got != want {
+			t.Errorf("%s: Optimize result\n got %s\nwant %s", c.name, got, want)
+		}
+	}
+}
+
+// BenchmarkMeasureRSSI times one closed-loop measurement at a fixed bias:
+// the scene's field transfer (a response-table hit after the first call)
+// plus the 256-sample received-power block.
+func BenchmarkMeasureRSSI(b *testing.B) {
+	sys, err := NewSystem(Config{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.Actuator().Apply(2, 15); err != nil {
+		b.Fatal(err)
+	}
+	var sink float64
+	for b.Loop() {
+		sink += sys.MeasureRSSI()
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN RSSI")
 	}
 }
 

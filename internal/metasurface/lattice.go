@@ -134,8 +134,9 @@ func (l *Lattice) FailedUnits() int {
 }
 
 // unitJones evaluates one unit's transmissive Jones matrix at frequency f
-// under the current rails.
-func (l *Lattice) unitJones(f float64, u latticeUnit) mat2.Mat {
+// under the current rails, between the QWP boards qPlus and qMinus (the
+// design's ±45° boards at f, the same for every unit).
+func (l *Lattice) unitJones(f float64, u latticeUnit, qPlus, qMinus mat2.Mat) mat2.Mat {
 	d := l.design
 	vx, vy := l.biasX+u.biasErrX, l.biasY+u.biasErrY
 	if u.failedX {
@@ -155,37 +156,48 @@ func (l *Lattice) unitJones(f float64, u latticeUnit) mat2.Mat {
 		ty = rect(abs(ty), phase(tx)+dphi*u.detune)
 	}
 	bfs := mat2.Diag(tx, ty).Scale(complex(u.lossExcess, 0))
-	qPlus := d.qwpJones(f, math.Pi/4)
-	qMinus := d.qwpJones(f, -math.Pi/4)
 	return qPlus.Mul(bfs).Mul(qMinus)
 }
 
 // JonesTransmissive returns the panel's aggregate Jones matrix: the
 // coherent mean of the unit responses.
 func (l *Lattice) JonesTransmissive(f float64) mat2.Mat {
+	qPlus := l.design.qwpJones(f, math.Pi/4)
+	qMinus := l.design.qwpJones(f, -math.Pi/4)
 	var acc mat2.Mat
 	for _, u := range l.units {
-		acc = acc.Add(l.unitJones(f, u))
+		acc = acc.Add(l.unitJones(f, u, qPlus, qMinus))
 	}
 	return acc.Scale(complex(1/float64(len(l.units)), 0))
 }
 
 // RotationDegrees extracts the aggregate rotation magnitude in degrees.
 func (l *Lattice) RotationDegrees(f float64) float64 {
-	return math.Abs(units.Degrees(rotationAngleOf(l.JonesTransmissive(f))))
+	return rotationDegreesOf(l.JonesTransmissive(f))
 }
 
 // Efficiency returns the aggregate Eq. 11 efficiency for an X-polarized
 // wave.
 func (l *Lattice) Efficiency(f float64) float64 {
-	m := l.JonesTransmissive(f)
-	e := m.MulVec(mat2.Vec{X: 1})
-	return e.NormSq()
+	return efficiencyOf(l.JonesTransmissive(f))
 }
 
 // EfficiencyDB returns Efficiency in dB.
 func (l *Lattice) EfficiencyDB(f float64) float64 {
 	return units.LinearToDB(l.Efficiency(f))
+}
+
+// rotationDegreesOf is the rotation magnitude of an aggregate Jones
+// matrix in degrees.
+func rotationDegreesOf(m mat2.Mat) float64 {
+	return math.Abs(units.Degrees(rotationAngleOf(m)))
+}
+
+// efficiencyOf is the Eq. 11 efficiency of an aggregate Jones matrix for
+// an X-polarized wave.
+func efficiencyOf(m mat2.Mat) float64 {
+	e := m.MulVec(mat2.Vec{X: 1})
+	return e.NormSq()
 }
 
 // YieldReport quantifies manufacturing robustness: the rotation and
@@ -194,6 +206,8 @@ func (l *Lattice) EfficiencyDB(f float64) float64 {
 type YieldReport struct {
 	// FailedUnits is the count with ≥1 dead axis.
 	FailedUnits int
+	// RotationDeg is the panel's aggregate rotation magnitude.
+	RotationDeg float64
 	// RotationLossDeg is how much of the ideal rotation the panel lost.
 	RotationLossDeg float64
 	// EfficiencyLossDB is the extra insertion loss vs ideal.
@@ -209,10 +223,13 @@ func (l *Lattice) Yield(f, vx, vy float64) (YieldReport, error) {
 	}
 	ideal.SetBias(vx, vy)
 	l.SetBias(vx, vy)
+	m := l.JonesTransmissive(f)
+	rot := rotationDegreesOf(m)
 	return YieldReport{
 		FailedUnits:      l.FailedUnits(),
-		RotationLossDeg:  ideal.RotationDegrees(f) - l.RotationDegrees(f),
-		EfficiencyLossDB: ideal.EfficiencyDB(AxisX, f) - l.EfficiencyDB(f),
+		RotationDeg:      rot,
+		RotationLossDeg:  ideal.RotationDegrees(f) - rot,
+		EfficiencyLossDB: ideal.EfficiencyDB(AxisX, f) - units.LinearToDB(efficiencyOf(m)),
 	}, nil
 }
 

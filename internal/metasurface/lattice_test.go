@@ -106,6 +106,17 @@ func TestFabricationSpreadDegradesGracefully(t *testing.T) {
 	if rep.EfficiencyLossDB > 2 || rep.EfficiencyLossDB < -1 {
 		t.Errorf("efficiency loss %v dB out of band", rep.EfficiencyLossDB)
 	}
+	// Yield builds the aggregate once; its numbers must be exactly what
+	// the per-quantity methods give at the same bias.
+	ideal := MustNew(d)
+	ideal.SetBias(2, 15)
+	f0 := units.DefaultCarrierHz
+	if rot := lat.RotationDegrees(f0); rep.RotationDeg != rot || rep.RotationLossDeg != ideal.RotationDegrees(f0)-rot {
+		t.Errorf("Yield rotation %v (loss %v) disagrees with RotationDegrees %v", rep.RotationDeg, rep.RotationLossDeg, rot)
+	}
+	if want := ideal.EfficiencyDB(AxisX, f0) - lat.EfficiencyDB(f0); rep.EfficiencyLossDB != want {
+		t.Errorf("Yield efficiency loss %v, EfficiencyDB gives %v", rep.EfficiencyLossDB, want)
+	}
 }
 
 func TestFailureInjectionDegradesRotation(t *testing.T) {

@@ -17,16 +17,25 @@ import (
 	"github.com/llama-surface/llama/internal/units"
 )
 
+// maxOrbit bounds the phase-recurrence steps NewToneSource runs looking
+// for an exact orbit; tones whose phase does not return within it are
+// synthesized sample by sample.
+const maxOrbit = 16
+
 // ToneSource generates a complex exponential at a fixed baseband offset —
 // the paper's "cosine signal over 500 KHz" as seen after downconversion.
+// Offset, rate and amplitude are fixed at construction: the sample orbit
+// is derived from them.
 type ToneSource struct {
-	// OffsetHz is the tone's baseband offset (500 kHz in the paper).
-	OffsetHz float64
-	// SampleRateHz is the generation rate (1 MHz receiver sampling).
-	SampleRateHz float64
-	// Amplitude is the tone's field amplitude; power is Amplitude².
-	Amplitude float64
+	amplitude float64
+	step      float64 // phase advance per sample
 
+	// orbit is one exact period of samples when the phase recurrence
+	// returns bit-exactly to 0 within maxOrbit steps (2 samples for the
+	// paper's 500 kHz tone at 1 MHz); pos indexes the next one. When
+	// orbit is nil, phase carries the recurrence instead.
+	orbit []complex128
+	pos   int
 	phase float64
 }
 
@@ -42,20 +51,96 @@ func NewToneSource(offsetHz, sampleRateHz, amplitude float64) *ToneSource {
 	if math.Abs(offsetHz) > sampleRateHz/2 {
 		panic(fmt.Sprintf("signal: tone %g Hz violates Nyquist at %g Hz", offsetHz, sampleRateHz))
 	}
-	return &ToneSource{OffsetHz: offsetHz, SampleRateHz: sampleRateHz, Amplitude: amplitude}
+	t := &ToneSource{amplitude: amplitude, step: 2 * math.Pi * offsetHz / sampleRateHz}
+	// Run the recurrence once; if it comes back to exactly 0 the samples
+	// repeat exactly, and replaying them is bit-identical to Rect.
+	var orbit [maxOrbit]complex128
+	for k := range maxOrbit {
+		orbit[k] = cmplx.Rect(amplitude, t.phase)
+		t.advance()
+		if math.Float64bits(t.phase) == 0 {
+			t.orbit = append([]complex128(nil), orbit[:k+1]...)
+			break
+		}
+	}
+	t.phase = 0
+	return t
+}
+
+// advance steps the phase recurrence by one sample.
+func (t *ToneSource) advance() {
+	t.phase += t.step
+	if t.phase > math.Pi {
+		t.phase -= 2 * math.Pi
+	}
+}
+
+// next returns the next tone sample and advances the orbit or the phase.
+func (t *ToneSource) next() complex128 {
+	if t.orbit == nil {
+		x := cmplx.Rect(t.amplitude, t.phase)
+		t.advance()
+		return x
+	}
+	x := t.orbit[t.pos]
+	if t.pos++; t.pos == len(t.orbit) {
+		t.pos = 0
+	}
+	return x
 }
 
 // Fill writes the next len(dst) samples into dst and returns dst.
 func (t *ToneSource) Fill(dst []complex128) []complex128 {
-	step := 2 * math.Pi * t.OffsetHz / t.SampleRateHz
 	for i := range dst {
-		dst[i] = cmplx.Rect(t.Amplitude, t.phase)
-		t.phase += step
-		if t.phase > math.Pi {
-			t.phase -= 2 * math.Pi
-		}
+		dst[i] = t.next()
 	}
 	return dst
+}
+
+// ReceivedPower returns the mean power of the next n samples after a
+// flat channel h and circular Gaussian noise of total power noiseW drawn
+// from rng. It is bit for bit Power(AddAWGN(Scale(t.Fill(buf), h),
+// noiseW, rng)) for a length-n buf — same samples, same noise draws in
+// the same order, same summation order — without the buffer, and it
+// advances the same state as Fill. It panics for negative noiseW or n.
+func (t *ToneSource) ReceivedPower(n int, h complex128, noiseW float64, rng *rand.Rand) float64 {
+	if noiseW < 0 {
+		panic("signal: negative noise power")
+	}
+	if n < 0 {
+		panic("signal: negative sample count")
+	}
+	if n == 0 {
+		return 0
+	}
+	sigma := math.Sqrt(noiseW / 2)
+	var s float64
+	if t.orbit == nil {
+		for range n {
+			s += noisyPower(t.next()*h, sigma, rng)
+		}
+		return s / float64(n)
+	}
+	var scaled [maxOrbit]complex128
+	for j, x := range t.orbit {
+		scaled[j] = x * h
+	}
+	pos, k := t.pos, len(t.orbit)
+	for range n {
+		s += noisyPower(scaled[pos], sigma, rng)
+		if pos++; pos == k {
+			pos = 0
+		}
+	}
+	t.pos = pos
+	return s / float64(n)
+}
+
+// noisyPower adds one AddAWGN noise draw to x and returns its power, in
+// the operation order AddAWGN and Power use.
+func noisyPower(x complex128, sigma float64, rng *rand.Rand) float64 {
+	x += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	return real(x)*real(x) + imag(x)*imag(x)
 }
 
 // Scale multiplies every sample by the complex channel response h in
@@ -91,9 +176,6 @@ func Power(buf []complex128) float64 {
 	}
 	return s / float64(len(buf))
 }
-
-// PowerDBm returns Power in dBm, treating sample power as watts.
-func PowerDBm(buf []complex128) float64 { return units.WattsToDBm(Power(buf)) }
 
 // RSSIEstimator accumulates block power estimates with exponential
 // smoothing, the way a cheap receiver's RSSI register behaves.

@@ -53,6 +53,109 @@ func TestToneSourcePanics(t *testing.T) {
 	}
 }
 
+// recurrenceTone is the per-sample reference synthesis: the phase
+// recurrence through cmplx.Rect that orbit replay must reproduce bit for
+// bit.
+func recurrenceTone(offsetHz, sampleRateHz, amplitude float64, n int) []complex128 {
+	out := make([]complex128, n)
+	step := 2 * math.Pi * offsetHz / sampleRateHz
+	phase := 0.0
+	for i := range out {
+		out[i] = cmplx.Rect(amplitude, phase)
+		phase += step
+		if phase > math.Pi {
+			phase -= 2 * math.Pi
+		}
+	}
+	return out
+}
+
+// Tones used by the bit-identity tests, with the orbit length
+// NewToneSource must find (0 = no exact orbit within maxOrbit steps: a
+// negative offset never wraps, and 137 kHz does not return to exactly 0).
+var identityTones = []struct {
+	offsetHz float64
+	orbit    int
+}{
+	{500e3, 2}, {250e3, 4}, {125e3, 8}, {100e3, 10}, {137e3, 0}, {-250e3, 0},
+}
+
+func TestToneOrbitReplaysRecurrence(t *testing.T) {
+	for _, c := range identityTones {
+		src := NewToneSource(c.offsetHz, 1e6, 0.7)
+		if len(src.orbit) != c.orbit {
+			t.Errorf("%g Hz: orbit of %d samples, want %d", c.offsetHz, len(src.orbit), c.orbit)
+		}
+		want := recurrenceTone(c.offsetHz, 1e6, 0.7, 4096)
+		var got []complex128
+		for _, n := range []int{1, 7, 255, 256, 3577} { // odd splits cross orbit boundaries
+			got = append(got, src.Fill(make([]complex128, n))...)
+		}
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("%g Hz: sample %d = %v, recurrence gives %v", c.offsetHz, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// sameBits reports whether two samples are identical bit for bit.
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestReceivedPowerMatchesPipeline checks the fused measurement against
+// the buffered Fill→Scale→AddAWGN→Power pipeline bit for bit, for single
+// blocks, runs of consecutive odd-length blocks, blocks interleaved with
+// Fill, and zero noise, on orbit and non-orbit tones alike.
+func TestReceivedPowerMatchesPipeline(t *testing.T) {
+	h := complex(3.1e-4, -7.7e-4)
+	for _, c := range identityTones {
+		for _, noiseW := range []float64{0, 2.5e-9} {
+			ref, fused := NewToneSource(c.offsetHz, 1e6, 1), NewToneSource(c.offsetHz, 1e6, 1)
+			refRNG, fusedRNG := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
+			for step, n := range []int{1, 7, 255, 256, 4096, 0, 7, 7, 255} {
+				buf := make([]complex128, n)
+				want := Power(AddAWGN(Scale(ref.Fill(buf), h), noiseW, refRNG))
+				got := fused.ReceivedPower(n, h, noiseW, fusedRNG)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%g Hz noise %g step %d (n=%d): fused %v, pipeline %v",
+						c.offsetHz, noiseW, step, n, got, want)
+				}
+				// Interleave a plain Fill on both: the two paths share
+				// one phase state.
+				a, b := ref.Fill(make([]complex128, 3)), fused.Fill(make([]complex128, 3))
+				for i := range a {
+					if !sameBits(a[i], b[i]) {
+						t.Fatalf("%g Hz step %d: Fill after fused block diverged at %d", c.offsetHz, step, i)
+					}
+				}
+			}
+			if refRNG.Int63() != fusedRNG.Int63() {
+				t.Errorf("%g Hz noise %g: RNG streams diverged", c.offsetHz, noiseW)
+			}
+		}
+	}
+}
+
+func TestReceivedPowerPanics(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		n      int
+		noiseW float64
+	}{{"negative noise", 4, -1}, {"negative length", -1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", c.name)
+				}
+			}()
+			NewToneSource(500e3, 1e6, 1).ReceivedPower(c.n, 1, c.noiseW, rand.New(rand.NewSource(1)))
+		}()
+	}
+}
+
 func TestScale(t *testing.T) {
 	buf := []complex128{1, 2, 3}
 	Scale(buf, 2i)

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -65,4 +67,33 @@ func TestDecodeTruncations(t *testing.T) {
 	if err := out.DecodeFromBytes(good); err != nil {
 		t.Fatalf("full frame rejected: %v", err)
 	}
+}
+
+// FuzzDecodeReport feeds arbitrary datagrams to the frame decoder. The
+// properties: it never panics, every rejection is one of the typed
+// decoding errors, and an accepted frame re-serializes to exactly the
+// bytes it was decoded from. The seed corpus lives in
+// testdata/fuzz/FuzzDecodeReport; run with
+//
+//	go test -run '^$' -fuzz FuzzDecodeReport -fuzztime 15s ./internal/telemetry
+func FuzzDecodeReport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Report
+		if err := r.DecodeFromBytes(data); err != nil {
+			for _, want := range []error{ErrShortFrame, ErrBadMagic, ErrBadVersion, ErrBadCRC, ErrBadTimestamp} {
+				if errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("untyped decode error: %v", err)
+		}
+		out := make([]byte, FrameLen)
+		n, err := r.SerializeTo(out)
+		if err != nil {
+			t.Fatalf("accepted frame %+v does not re-serialize: %v", r, err)
+		}
+		if !bytes.Equal(out[:n], data[:FrameLen]) {
+			t.Fatalf("round trip changed the frame:\n got %x\nwant %x", out[:n], data[:FrameLen])
+		}
+	})
 }

@@ -46,7 +46,7 @@ func TestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		return out.Seq == in.Seq && out.Timestamp == in.Timestamp &&
-			out.Flags == in.Flags && math.Abs(out.RSSIdBm-in.RSSIdBm) < 0.0011
+			out.Flags == in.Flags && out.RSSIdBm == in.RSSIdBm
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
@@ -108,9 +108,15 @@ func TestSerializeErrors(t *testing.T) {
 	if _, err := r.SerializeTo(make([]byte, FrameLen)); err == nil {
 		t.Error("NaN RSSI should fail")
 	}
-	r.RSSIdBm = 1e10
+	for _, v := range []float64{1e10, math.Inf(1), math.Inf(-1)} {
+		r.RSSIdBm = v
+		if _, err := r.SerializeTo(make([]byte, FrameLen)); err == nil {
+			t.Errorf("RSSI %g should fail", v)
+		}
+	}
+	r = Report{RSSIdBm: -50, Timestamp: -time.Microsecond}
 	if _, err := r.SerializeTo(make([]byte, FrameLen)); err == nil {
-		t.Error("absurd RSSI should fail")
+		t.Error("negative timestamp should fail")
 	}
 }
 
