@@ -227,8 +227,9 @@ type Options struct {
 	// Output is bit-identical either way.
 	ShardRows bool
 	// BatchRows groups that many consecutive sweep points per sharded
-	// job (≤1 = one point per job), amortizing per-job queue overhead on
-	// axes with many cheap points. Output is unchanged.
+	// job (0 or 1 = one point per job; negative is an error),
+	// amortizing per-job queue overhead on axes with many cheap points.
+	// Output is unchanged.
 	BatchRows int
 	// StoreDir, when non-empty, opens (creating if needed) a durable
 	// results store there and persists every freshly computed

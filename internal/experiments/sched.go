@@ -40,7 +40,8 @@ type RunSpec struct {
 	// points; unset, one job spans the whole axis.
 	ShardRows bool
 	// BatchRows groups that many consecutive sweep points per sharded
-	// job; ≤1 means one point per job.
+	// job; 0 or 1 means one point per job, and a negative value is
+	// rejected by Submit.
 	BatchRows int
 	// Resume consults the scheduler's store before queueing each cell
 	// and reuses valid records; requires the scheduler to have a store.
@@ -471,10 +472,10 @@ func newSubmission(ctx context.Context, spec RunSpec, st *store.Store) (*submiss
 	if len(seeds) == 0 {
 		seeds = []int64{1}
 	}
-	batch := spec.BatchRows
-	if batch < 1 {
-		batch = 1
+	if spec.BatchRows < 0 {
+		return nil, fmt.Errorf("experiments: RunSpec.BatchRows is %d; it must be ≥ 0 (0 or 1 means one point per job)", spec.BatchRows)
 	}
+	batch := max(spec.BatchRows, 1)
 	runCtx, cancel := context.WithCancel(ctx)
 	sub := &submission{
 		spec: RunSpec{

@@ -158,6 +158,17 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := s.Submit(context.Background(), RunSpec{IDs: []string{"tab1"}, Resume: true}); err == nil || !strings.Contains(err.Error(), "store") {
 		t.Errorf("resume without store: err = %v", err)
 	}
+	if _, err := s.Submit(context.Background(), RunSpec{IDs: []string{"tab1"}, BatchRows: -3}); err == nil || !strings.Contains(err.Error(), "BatchRows") {
+		t.Errorf("negative BatchRows: err = %v", err)
+	}
+	h, err := s.Submit(context.Background(), RunSpec{IDs: []string{"tab1"}, ShardRows: true})
+	if err != nil {
+		t.Fatalf("zero BatchRows: %v", err)
+	}
+	<-h.Done()
+	if got := h.Spec().BatchRows; got != 1 {
+		t.Errorf("zero BatchRows normalized to %d, want 1 (one point per job)", got)
+	}
 }
 
 // TestSubmitAfterClose: a closed scheduler refuses work with the typed

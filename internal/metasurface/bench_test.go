@@ -84,7 +84,7 @@ func BenchmarkTableParallelSnapshot(b *testing.B) {
 	tbl := newResponseTable("bench-snapshot")
 	pts := benchAxisKeys()
 	for _, p := range pts {
-		tbl.axisAt(d, p.axis, p.f, p.v, 0)
+		tbl.axisAt(&d, p.axis, p.f, p.v, 0)
 	}
 	tbl.axis.flush()
 	var seq atomic.Uint32
@@ -96,7 +96,7 @@ func BenchmarkTableParallelSnapshot(b *testing.B) {
 		for pb.Next() {
 			p := pts[i%len(pts)]
 			i++
-			r, _ := tbl.axisAt(d, p.axis, p.f, p.v, shard)
+			r, _ := tbl.axisAt(&d, p.axis, p.f, p.v, shard)
 			if r.s.Z0 == 0 {
 				b.Fatal("degenerate response")
 			}
@@ -136,15 +136,15 @@ func BenchmarkTableBatchAxis(b *testing.B) {
 	tbl := newResponseTable("bench-batch")
 	pts := benchAxisKeys()
 	for _, p := range pts {
-		tbl.axisAt(d, p.axis, p.f, p.v, 0)
+		tbl.axisAt(&d, p.axis, p.f, p.v, 0)
 	}
 	tbl.axis.flush()
-	var r axisResponse
+	var r *axisResponse
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pts {
-			r, _ = tbl.axisAt(d, p.axis, p.f, p.v, 0)
+			r, _ = tbl.axisAt(&d, p.axis, p.f, p.v, 0)
 		}
 	}
 	if r.s.Z0 == 0 {

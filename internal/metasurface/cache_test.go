@@ -250,3 +250,35 @@ func TestCacheConcurrentStress(t *testing.T) {
 		t.Errorf("miss count %d exceeds the %d concurrent-first-touch bound", st.Misses, limit)
 	}
 }
+
+// TestWarmHitsDoNotAllocate pins the zero-copy hit path: once the
+// operating points are in the table, every query that reads responses
+// through it, and a JonesBatch into a sized dst, allocates nothing (a
+// hit hands out the published entry's pointer).
+func TestWarmHitsDoNotAllocate(t *testing.T) {
+	s := MustNew(OptimizedFR4Design(units.DefaultCarrierHz))
+	s.SetBias(8, 11.5)
+	f := units.DefaultCarrierHz
+	pts := []BatchPoint{{F: f, VX: 8, VY: 11.5}, {F: 2.3e9, VX: 0.1, VY: 30}, {F: f, VX: 2, VY: 2}}
+	dst := s.JonesBatch(Transmissive, pts, nil) // warms every batch point
+	queries := []struct {
+		name string
+		run  func()
+	}{
+		{"JonesTransmissive", func() { s.JonesTransmissive(f) }},
+		{"JonesReflective", func() { s.JonesReflective(f) }},
+		{"FrontReflection", func() { s.FrontReflection(f) }},
+		{"AxisTransmission", func() { s.AxisTransmission(AxisY, f, 11.5) }},
+		{"JonesBatch", func() { dst = s.JonesBatch(Reflective, pts, dst) }},
+	}
+	for _, q := range queries {
+		q.run() // the miss, if any, happens here
+		before := s.CacheStats()
+		if n := testing.AllocsPerRun(100, q.run); n != 0 {
+			t.Errorf("warm %s: %v allocs per call, want 0", q.name, n)
+		}
+		if st := s.CacheStats().Sub(before); st.Misses != 0 {
+			t.Errorf("warm %s: %d misses while measuring; the hit path was not exercised", q.name, st.Misses)
+		}
+	}
+}

@@ -145,12 +145,15 @@ func (d Design) qwpEval(f float64) qwpResponse {
 }
 
 // axisAt returns the per-axis response, through the shared table when
-// caching is enabled.
-func (s *Surface) axisAt(axis Axis, f, v float64) axisResponse {
+// caching is enabled. A cached result is the table's published entry,
+// shared and immutable; callers only read through the pointer. With
+// caching off the evaluation lands in a fresh value.
+func (s *Surface) axisAt(axis Axis, f, v float64) *axisResponse {
 	if s.table == nil || !CachingEnabled() {
-		return s.design.axisEval(axis, f, v)
+		r := s.design.axisEval(axis, f, v)
+		return &r
 	}
-	r, hit := s.table.axisAt(s.design, axis, f, v, s.shard)
+	r, hit := s.table.axisAt(&s.design, axis, f, v, s.shard)
 	if hit {
 		s.hits.Add(1)
 	} else {
@@ -160,13 +163,14 @@ func (s *Surface) axisAt(axis Axis, f, v float64) axisResponse {
 }
 
 // qwpAt returns the QWP response, through the shared table when caching
-// is enabled. The QWP is bias-independent: one evaluation per frequency
-// serves a whole bias-plane scan.
-func (s *Surface) qwpAt(f float64) qwpResponse {
+// is enabled (read-only, as axisAt). The QWP is bias-independent: one
+// evaluation per frequency serves a whole bias-plane scan.
+func (s *Surface) qwpAt(f float64) *qwpResponse {
 	if s.table == nil || !CachingEnabled() {
-		return s.design.qwpEval(f)
+		r := s.design.qwpEval(f)
+		return &r
 	}
-	r, hit := s.table.qwpAt(s.design, f, s.shard)
+	r, hit := s.table.qwpAt(&s.design, f, s.shard)
 	if hit {
 		s.hits.Add(1)
 	} else {
@@ -347,7 +351,7 @@ func (s *Surface) AxisTransmission(axis Axis, f, v float64) complex128 {
 // exactly this function, which is what makes batched ≡ scalar
 // bit-identity (determinism invariant #11) hold by construction rather
 // than by test alone.
-func jonesTransmissiveFrom(xr, yr axisResponse, q qwpResponse) mat2.Mat {
+func jonesTransmissiveFrom(xr, yr *axisResponse, q *qwpResponse) mat2.Mat {
 	bfs := mat2.Diag(xr.s.S21, yr.s.S21)
 	return q.plus.Mul(bfs).Mul(q.minus)
 }
@@ -395,7 +399,7 @@ func (s *Surface) JonesReflective(f float64) mat2.Mat {
 // jonesReflectiveFrom assembles the reflective-mode Jones matrix from
 // resolved responses — the shared assembly of the scalar queries and
 // JonesBatch (see jonesTransmissiveFrom).
-func jonesReflectiveFrom(xr, yr axisResponse, q qwpResponse) mat2.Mat {
+func jonesReflectiveFrom(xr, yr *axisResponse, q *qwpResponse) mat2.Mat {
 	inner := mat2.Diag(xr.shortGamma, yr.shortGamma)
 	round := q.minus.Transpose().Mul(inner).Mul(q.minus)
 	// Front-face specular term: reflection of the (slightly mismatched)

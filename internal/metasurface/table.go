@@ -368,16 +368,19 @@ func ImportResponseTable(ex TableExport) (int, error) {
 		qwpEntries = append(qwpEntries, qwpEntry{key: key, val: val})
 	}
 
+	// The validated entries become the published values in place: each
+	// map value points into its entries slice, which is never written
+	// again, so an import allocates no second copy of any response.
 	t := tableFor(ex.Fingerprint)
 	axisKeys := make([]axisKey, len(axisEntries))
-	axisVals := make([]axisResponse, len(axisEntries))
-	for i, e := range axisEntries {
-		axisKeys[i], axisVals[i] = e.key, e.val
+	axisVals := make([]*axisResponse, len(axisEntries))
+	for i := range axisEntries {
+		axisKeys[i], axisVals[i] = axisEntries[i].key, &axisEntries[i].val
 	}
 	qwpKeys := make([]uint64, len(qwpEntries))
-	qwpVals := make([]qwpResponse, len(qwpEntries))
-	for i, e := range qwpEntries {
-		qwpKeys[i], qwpVals[i] = e.key, e.val
+	qwpVals := make([]*qwpResponse, len(qwpEntries))
+	for i := range qwpEntries {
+		qwpKeys[i], qwpVals[i] = qwpEntries[i].key, &qwpEntries[i].val
 	}
 	// merge publishes the union snapshot immediately: warm-started
 	// entries are lock-free from the first lookup.

@@ -145,7 +145,10 @@ func TestResetResponseTables(t *testing.T) {
 // TestTableExportImportRoundTrip: export → fresh registry → import must
 // hand back bit-identical responses with zero recomputation, and
 // re-exporting the imported table must reproduce the exported bytes
-// exactly (the persistence path's lossless contract).
+// exactly (the persistence path's lossless contract). A table created
+// by an import has no design of its own, so a miss on it must evaluate
+// with the asking surface's design: a point absent from the export is
+// computed once, bit-identical to the uncached evaluation.
 func TestTableExportImportRoundTrip(t *testing.T) {
 	ResetResponseTables()
 	d := OptimizedFR4Design(units.DefaultCarrierHz)
@@ -204,6 +207,18 @@ func TestTableExportImportRoundTrip(t *testing.T) {
 	again := ExportResponseTables()
 	if len(again) != 1 || !reflect.DeepEqual(again[0], ex) {
 		t.Error("re-export after import is not byte-identical: persisted tables would churn")
+	}
+
+	const absentF, absentV = 2.41e9, 12.25
+	SetCaching(false)
+	wantAbsent := MustNew(d).AxisTransmission(AxisX, absentF, absentV)
+	SetCaching(true)
+	fresh := MustNew(d)
+	if got := fresh.AxisTransmission(AxisX, absentF, absentV); !sameC(got, wantAbsent) {
+		t.Errorf("miss on the imported table gave %v, uncached evaluation %v", got, wantAbsent)
+	}
+	if st := fresh.CacheStats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("absent point counted %d hits / %d misses, want 0 / 1", st.Hits, st.Misses)
 	}
 }
 

@@ -52,8 +52,14 @@ var ErrTooFast = errors.New("psu: setpoint change faster than 50 Hz switch limit
 // ErrInvalidChannel is returned for channel numbers outside CH1..CH3.
 var ErrInvalidChannel = errors.New("psu: invalid channel")
 
-// ErrVoltageRange is returned for setpoints outside [0, MaxVoltage].
+// ErrVoltageRange is returned for setpoints outside [0, MaxVoltage],
+// NaN included.
 var ErrVoltageRange = errors.New("psu: voltage outside 0–30 V range")
+
+// inRange reports whether v is a programmable setpoint. Written as the
+// positive test so that NaN, which fails every comparison, is rejected
+// along with ±Inf.
+func inRange(v float64) bool { return v >= 0 && v <= MaxVoltage }
 
 type channelState struct {
 	setpoint   float64
@@ -102,7 +108,7 @@ func (s *Supply) SetVoltage(ch Channel, v float64, now time.Duration) error {
 	if !ch.Valid() {
 		return fmt.Errorf("%w: %d", ErrInvalidChannel, int(ch))
 	}
-	if v < 0 || v > MaxVoltage {
+	if !inRange(v) {
 		return fmt.Errorf("%w: %g V", ErrVoltageRange, v)
 	}
 	s.mu.Lock()
@@ -122,7 +128,7 @@ func (s *Supply) SetVoltage(ch Channel, v float64, now time.Duration) error {
 // SetBoth programs CH1 and CH2 together (one switch event): the paper's
 // controller changes both axis biases per sweep step.
 func (s *Supply) SetBoth(v1, v2 float64, now time.Duration) error {
-	if v1 < 0 || v1 > MaxVoltage || v2 < 0 || v2 > MaxVoltage {
+	if !inRange(v1) || !inRange(v2) {
 		return fmt.Errorf("%w: %g/%g V", ErrVoltageRange, v1, v2)
 	}
 	s.mu.Lock()

@@ -60,6 +60,33 @@ func TestVoltageRangeEnforced(t *testing.T) {
 	}
 }
 
+// TestNonFiniteVoltageRejected pins that NaN and ±Inf never become a
+// setpoint: NaN fails every comparison, so a plain out-of-range test
+// would let it through.
+func TestNonFiniteVoltageRejected(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := New()
+		if err := s.SetVoltage(CH1, 4, 0); err != nil {
+			t.Fatal(err)
+		}
+		at := time.Second
+		if err := s.SetVoltage(CH1, v, at); !errors.Is(err, ErrVoltageRange) {
+			t.Errorf("SetVoltage(%v) error = %v, want ErrVoltageRange", v, err)
+		}
+		if err := s.SetBoth(v, 5, at); !errors.Is(err, ErrVoltageRange) {
+			t.Errorf("SetBoth(%v, 5) error = %v, want ErrVoltageRange", v, err)
+		}
+		if err := s.SetBoth(5, v, at); !errors.Is(err, ErrVoltageRange) {
+			t.Errorf("SetBoth(5, %v) error = %v, want ErrVoltageRange", v, err)
+		}
+		v1, _ := s.Setpoint(CH1)
+		v2, _ := s.Setpoint(CH2)
+		if v1 != 4 || v2 != 0 {
+			t.Errorf("after rejected %v: setpoints %v/%v, want 4/0", v, v1, v2)
+		}
+	}
+}
+
 func TestSwitchRateLimit(t *testing.T) {
 	s := New()
 	if err := s.SetVoltage(CH1, 5, 0); err != nil {

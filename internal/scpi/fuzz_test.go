@@ -1,6 +1,7 @@
 package scpi
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestDispatchAdversarialCorpus(t *testing.T) {
 		"VOLT",                         // set with no argument
 		"VOLT ",                        // trailing space, no argument
 		"VOLT 1 2 3",                   // too many tokens (parsed as one arg string)
-		"VOLT NaN",                     // non-numeric
+		"VOLT NaN",                     // parses, but is no voltage
 		"VOLT 1e309",                   // float overflow
 		"VOLT -0",                      // negative zero is a legal 0
 		"APPL",                         // missing everything
@@ -115,4 +116,63 @@ func TestNegativeZeroVoltage(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("setpoint = %v, %v", v, err)
 	}
+}
+
+// TestNaNVoltageRejected pins that a NaN setpoint, which strconv parses
+// without error, is refused by the supply's range check: the command
+// queues a -222 range error and the setpoint keeps its old value.
+func TestNaNVoltageRejected(t *testing.T) {
+	tree, supply := boundInstrument()
+	if _, err := tree.Dispatch("VOLT 7"); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{"VOLT NaN", "APPL CH1,nan", "APPL CH1,inf", "VOLT -Inf"} {
+		if _, err := tree.Dispatch(line); err != nil {
+			t.Fatalf("%q: set commands report through the queue, got %v", line, err)
+		}
+		if e := tree.PopError(); !strings.HasPrefix(e, "-222,") {
+			t.Errorf("%q queued %q, want a -222 range error", line, e)
+		}
+		if v, err := supply.Setpoint(psu.CH1); err != nil || v != 7 {
+			t.Errorf("after %q: setpoint = %v, %v; want 7", line, v, err)
+		}
+	}
+}
+
+// FuzzDispatch feeds arbitrary lines to the fully bound instrument tree,
+// twice on the same tree so the error queue carries state between
+// calls. The properties: Dispatch never panics, the error queue never
+// holds more than 16 entries, a failed query answers "", and every
+// channel's setpoint stays finite and inside [0, psu.MaxVoltage]. The
+// seed corpus lives in testdata/fuzz/FuzzDispatch. Its 64-part line
+// (queue-overflow) uses one-byte parts: the fuzzer minimizes every new
+// input in O(n²) executions, and a long seed would spend the whole run
+// minimizing its own mutants. Run with
+//
+//	go test -run '^$' -fuzz FuzzDispatch -fuzztime 15s ./internal/scpi
+func FuzzDispatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line string) {
+		tree, supply := boundInstrument()
+		for i := 0; i < 2; i++ {
+			resp, err := tree.Dispatch(line)
+			if err != nil && resp != "" {
+				t.Fatalf("failed query answered %q (error %v)", resp, err)
+			}
+			tree.mu.RLock()
+			n := len(tree.errq)
+			tree.mu.RUnlock()
+			if n > 16 {
+				t.Fatalf("error queue holds %d entries, limit 16", n)
+			}
+			for _, ch := range []psu.Channel{psu.CH1, psu.CH2, psu.CH3} {
+				v, err := supply.Setpoint(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.IsNaN(v) || v < 0 || v > psu.MaxVoltage {
+					t.Fatalf("%v setpoint %v outside [0, %v]", ch, v, psu.MaxVoltage)
+				}
+			}
+		}
+	})
 }

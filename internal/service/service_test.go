@@ -341,8 +341,8 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 }
 
 // TestValidationAndLifecycleErrors covers the fail-fast paths: bad
-// JSON, unknown experiment IDs, unknown runs, unknown formats, and
-// result requests for unfinished runs.
+// JSON, unknown experiment IDs, a negative batch size, unknown runs,
+// unknown formats, and result requests for unfinished runs.
 func TestValidationAndLifecycleErrors(t *testing.T) {
 	_, ts := newServer(t, t.TempDir(), 2)
 	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/runs", `{"ids":`, nil); code != http.StatusBadRequest {
@@ -353,6 +353,9 @@ func TestValidationAndLifecycleErrors(t *testing.T) {
 	}
 	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/runs", `{"bogus_field":1}`, nil); code != http.StatusBadRequest {
 		t.Errorf("unknown field: code %d body %s", code, raw)
+	}
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/runs", `{"ids":["tab1"],"batch_rows":-3}`, nil); code != http.StatusBadRequest || !strings.Contains(raw, "BatchRows") {
+		t.Errorf("negative batch_rows: code %d body %s", code, raw)
 	}
 	if code, _ := doJSON(t, http.MethodGet, ts.URL+"/runs/run-999999", "", nil); code != http.StatusNotFound {
 		t.Errorf("unknown run: code %d", code)

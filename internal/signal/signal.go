@@ -67,11 +67,14 @@ func NewToneSource(offsetHz, sampleRateHz, amplitude float64) *ToneSource {
 	return t
 }
 
-// advance steps the phase recurrence by one sample.
+// advance steps the phase recurrence by one sample, wrapping the phase
+// into (−π, π] on both sides so a negative-offset tone stays bounded.
 func (t *ToneSource) advance() {
 	t.phase += t.step
 	if t.phase > math.Pi {
 		t.phase -= 2 * math.Pi
+	} else if t.phase <= -math.Pi {
+		t.phase += 2 * math.Pi
 	}
 }
 

@@ -65,19 +65,39 @@ func recurrenceTone(offsetHz, sampleRateHz, amplitude float64, n int) []complex1
 		phase += step
 		if phase > math.Pi {
 			phase -= 2 * math.Pi
+		} else if phase <= -math.Pi {
+			phase += 2 * math.Pi
 		}
 	}
 	return out
 }
 
 // Tones used by the bit-identity tests, with the orbit length
-// NewToneSource must find (0 = no exact orbit within maxOrbit steps: a
-// negative offset never wraps, and 137 kHz does not return to exactly 0).
+// NewToneSource must find (0 = no exact orbit within maxOrbit steps:
+// ±137 kHz never returns to exactly 0).
 var identityTones = []struct {
 	offsetHz float64
 	orbit    int
 }{
-	{500e3, 2}, {250e3, 4}, {125e3, 8}, {100e3, 10}, {137e3, 0}, {-250e3, 0},
+	{500e3, 2}, {250e3, 4}, {125e3, 8}, {100e3, 10}, {-250e3, 4}, {137e3, 0}, {-137e3, 0},
+}
+
+// TestNegativeTonePhaseStaysWrapped pins the phase of negative-offset
+// tones with no exact orbit inside (−π, π] over a long stream: an
+// unwrapped phase grows without bound and costs the samples precision.
+func TestNegativeTonePhaseStaysWrapped(t *testing.T) {
+	for _, off := range []float64{-137e3, -499e3} {
+		src := NewToneSource(off, 1e6, 1)
+		if src.orbit != nil {
+			t.Fatalf("%g Hz: has an orbit; the test needs the phase recurrence", off)
+		}
+		for i := 0; i < 10000; i++ {
+			src.next()
+			if !(src.phase > -math.Pi && src.phase <= math.Pi) {
+				t.Fatalf("%g Hz: phase %v after %d samples, outside (−π, π]", off, src.phase, i+1)
+			}
+		}
+	}
 }
 
 func TestToneOrbitReplaysRecurrence(t *testing.T) {
